@@ -35,7 +35,9 @@ type Query struct {
 
 	// Literals is the string-literal segment; codegen pre-registered it
 	// and embedded its addresses as constants. LitLen is the number of
-	// bytes actually interned (the fingerprint hashes only this prefix).
+	// bytes actually interned (the fingerprint hashes only this prefix;
+	// the segment grows in place as literals are interned, so its length
+	// beyond LitLen is slack).
 	Literals []byte
 	LitLen   int
 
@@ -50,6 +52,10 @@ type Query struct {
 	Params    []expr.Type
 	ParamSeg  []byte
 	ParamBase uint64
+
+	// mem is the address space the segments are registered in; BindParams
+	// resizes the parameter segment through it.
+	mem *rt.Memory
 
 	// Output describes how to decode the result rows of the final
 	// pipeline; Sort/Limit apply to the decoded rows.
@@ -140,16 +146,20 @@ type OutCol struct {
 	Off  int
 }
 
-// litCap is the capacity of the string literal segment.
+// litCap bounds the string literal segment. It starts at litInitCap bytes
+// and doubles, in place of its segment, as literals are interned (a
+// variable so a test can compare a grown segment with one that never grew).
 const litCap = 1 << 20
 
-// Parameter segment layout: maxParams 16-byte slots followed by the
-// string heap bound parameter strings copy into.
+var litInitCap = 1 << 10
+
+// Parameter segment layout: one 16-byte slot per parameter followed by the
+// string heap bound parameter strings copy into. A plan references at most
+// maxParams parameters, and their strings total at most paramHeapCap bytes.
 const (
 	maxParams    = 64
 	paramSlot    = 16
 	paramHeapCap = 1 << 16
-	paramSegCap  = maxParams*paramSlot + paramHeapCap
 )
 
 // Options selects optional code-generation features. The generated IR
@@ -187,24 +197,17 @@ func CompileOpts(root plan.Node, mem *rt.Memory, name string, opts Options) (*Qu
 		litIdx:     make(map[string]int64),
 		patternIdx: make(map[string]int),
 	}
-	g.q = &Query{Module: g.mod, Limit: -1}
-	g.q.Literals = make([]byte, litCap)
+	g.q = &Query{Module: g.mod, Limit: -1, mem: mem}
+	g.q.Literals = make([]byte, litInitCap)
 	g.litBase = mem.AddSegment(g.q.Literals)
-	// The parameter segment registers unconditionally (even for plans
-	// without parameters) so segment numbering — and therefore every
-	// embedded base address — is identical across all plans, which cached
-	// closures and kernels rely on.
-	g.q.ParamSeg = make([]byte, paramSegCap)
-	g.paramBase = mem.AddSegment(g.q.ParamSeg)
-	g.q.ParamBase = g.paramBase
-	g.collectParams(root)
 
+	body := root
 	if ob, ok := root.(*plan.OrderBy); ok {
 		g.q.SortKeys = ob.Keys
 		g.q.Limit = ob.Limit
-		root = ob.Input
+		body = ob.Input
 	}
-	g.q.Schema = root.Schema()
+	g.q.Schema = body.Schema()
 
 	var err error
 	func() {
@@ -213,9 +216,19 @@ func CompileOpts(root plan.Node, mem *rt.Memory, name string, opts Options) (*Qu
 				err = fmt.Errorf("codegen: %v", r)
 			}
 		}()
-		outID := g.newOut(root.Schema())
+		g.collectParams(root)
+		// The parameter segment registers unconditionally (even for plans
+		// without parameters) so segment numbering — and therefore every
+		// embedded base address — is identical across all plans, which
+		// cached closures and kernels rely on. It holds zeroed slots until
+		// BindParams sizes it to the execution's bindings.
+		g.q.ParamSeg = make([]byte, len(g.q.Params)*paramSlot)
+		g.paramBase = mem.AddSegment(g.q.ParamSeg)
+		g.q.ParamBase = g.paramBase
+
+		outID := g.newOut(body.Schema())
 		g.q.Output = g.q.Outs[outID]
-		g.pipeline(root, &outSink{id: outID, schema: root.Schema()})
+		g.pipeline(body, &outSink{id: outID, schema: body.Schema()})
 		g.emitQueryStart()
 	}()
 	if err != nil {
@@ -271,8 +284,16 @@ func (g *cgen) internLit(s string) (int64, int64) {
 	if off, ok := g.litIdx[s]; ok {
 		return int64(g.litBase) + off, int64(len(s))
 	}
-	if g.litOff+len(s) > litCap {
-		panic("codegen: literal segment full")
+	if need := g.litOff + len(s); need > len(g.q.Literals) {
+		if need > litCap {
+			panic("codegen: literal segment full")
+		}
+		// Grow in place of the segment: the base address, already embedded
+		// in emitted code, stays valid. No worker runs during codegen.
+		grown := make([]byte, min(max(2*len(g.q.Literals), need), litCap))
+		copy(grown, g.q.Literals[:g.litOff])
+		g.q.Literals = grown
+		g.mem.SetSegment(g.litBase, grown)
 	}
 	off := int64(g.litOff)
 	copy(g.q.Literals[g.litOff:], s)
@@ -370,16 +391,18 @@ func (g *cgen) genParam(b *ir.Builder, idx int, t expr.Type) expr.Val {
 }
 
 // BindParams installs the execution's parameter values into the parameter
-// segment. It runs before every execution of a parameterized query
-// (CompileOpts allocates a fresh segment per run); the value types must
-// match the plan's descriptors — the fingerprint hashes the descriptors,
-// so a mismatch means the caller bound values the plan was not built for.
+// segment, sized to the slots plus the string bytes, and resolves the
+// scan pipelines' parameter prune conditions from them. It runs before
+// every execution of a parameterized query (CompileOpts allocates a fresh
+// segment per run); the value types must match the plan's descriptors —
+// the fingerprint hashes the descriptors, so a mismatch means the caller
+// bound values the plan was not built for.
 func (q *Query) BindParams(vals []*expr.Const) error {
 	if len(vals) != len(q.Params) {
 		return fmt.Errorf("codegen: statement wants %d parameter(s), got %d",
 			len(q.Params), len(vals))
 	}
-	heap := maxParams * paramSlot
+	strBytes := 0
 	for i, v := range vals {
 		if v == nil {
 			return fmt.Errorf("codegen: parameter $%d is unbound", i+1)
@@ -388,14 +411,24 @@ func (q *Query) BindParams(vals []*expr.Const) error {
 			return fmt.Errorf("codegen: parameter $%d is %s, plan wants %s",
 				i+1, v.T, q.Params[i])
 		}
+		if v.T.Kind == expr.KString {
+			strBytes += len(v.S)
+		}
+	}
+	if strBytes > paramHeapCap {
+		return fmt.Errorf("codegen: parameter strings exceed %d bytes", paramHeapCap)
+	}
+	heap := len(vals) * paramSlot
+	if need := heap + strBytes; need > len(q.ParamSeg) {
+		q.ParamSeg = make([]byte, need)
+		q.mem.SetSegment(q.ParamBase, q.ParamSeg)
+	}
+	for i, v := range vals {
 		off := i * paramSlot
 		switch v.T.Kind {
 		case expr.KFloat:
 			binary.LittleEndian.PutUint64(q.ParamSeg[off:], math.Float64bits(v.F))
 		case expr.KString:
-			if heap+len(v.S) > len(q.ParamSeg) {
-				return fmt.Errorf("codegen: parameter strings exceed %d bytes", paramHeapCap)
-			}
 			copy(q.ParamSeg[heap:], v.S)
 			binary.LittleEndian.PutUint64(q.ParamSeg[off:], q.ParamBase+uint64(heap))
 			binary.LittleEndian.PutUint64(q.ParamSeg[off+8:], uint64(len(v.S)))
@@ -404,6 +437,7 @@ func (q *Query) BindParams(vals []*expr.Const) error {
 			binary.LittleEndian.PutUint64(q.ParamSeg[off:], uint64(v.I))
 		}
 	}
+	q.resolvePrune(vals)
 	return nil
 }
 

@@ -24,10 +24,26 @@ type PruneCond struct {
 	Op  expr.CmpOp
 	I   int64   // threshold for integer-representable columns
 	F   float64 // threshold for Float64 columns
+
+	// Param is set when the threshold is a prepared-statement parameter
+	// (ParamOp is then the conjunct's operator with the column on the
+	// left). Codegen never sees the value, so such a condition starts
+	// unresolved; BindParams normalizes each execution's binding into
+	// Op/I/F exactly as for a literal and sets Bound. Neither is part of
+	// the fingerprint: executions that differ only in bindings still share
+	// one plan.
+	Param   *expr.Param
+	ParamOp expr.CmpOp
+	Bound   bool
 }
 
 // Float reports whether the condition compares in the float domain.
 func (pc PruneCond) Float() bool { return pc.Col.Kind == storage.Float64 }
+
+// Resolved reports whether the threshold is known: always for a literal,
+// for a parameter only after its binding normalized. An unresolved
+// condition must never license a skip.
+func (pc PruneCond) Resolved() bool { return pc.Param == nil || pc.Bound }
 
 // BlockMayMatch reports whether some value in [min, max] can satisfy the
 // condition (integer-representable columns). A false return proves every
@@ -74,14 +90,14 @@ func (pc PruneCond) BlockMayMatchF(min, max float64) bool {
 }
 
 // extractPrune collects the sargable conjuncts of a scan filter: the
-// top-level AND is flattened and every `col <cmp> const` (either operand
-// order) over a fixed-width column becomes a PruneCond. String conjuncts
-// (comparisons, IN, LIKE) over dictionary-encoded columns become
-// conditions on dictionary codes, matching the code-valued zone maps —
-// unless Options.NoDict disables dictionary use. Conjuncts of no usable
-// shape — disjunctions, column-column comparisons, strings without a
-// dictionary — contribute nothing; the residual predicate still runs in
-// full inside the generated kernel.
+// top-level AND is flattened and every `col <cmp> const` or `col <cmp> $n`
+// (either operand order) becomes a PruneCond — over fixed-width columns,
+// and over dictionary-encoded String columns as a condition on dictionary
+// codes matching the code-valued zone maps. String IN and LIKE conjuncts
+// become code-range conditions too. Options.NoDict disables every string
+// condition. Conjuncts of no usable shape — disjunctions, column-column
+// comparisons, strings without a dictionary — contribute nothing; the
+// residual predicate still runs in full inside the generated kernel.
 func (g *cgen) extractPrune(s *plan.Scan) []PruneCond {
 	if s.Filter == nil {
 		return nil
@@ -96,7 +112,9 @@ func (g *cgen) extractPrune(s *plan.Scan) []PruneCond {
 			return
 		}
 		if pc, ok := sargable(s, e); ok {
-			out = append(out, pc)
+			if pc.Col.Kind != storage.String || !g.opts.NoDict {
+				out = append(out, pc)
+			}
 			return
 		}
 		if !g.opts.NoDict {
@@ -112,71 +130,40 @@ func (g *cgen) extractPrune(s *plan.Scan) []PruneCond {
 // time to derive its matched-code range (mirrors the bitmap-rewrite cap).
 const dictPruneMaxCard = 1 << 16
 
-// stringPrune derives code-domain PruneConds from a string conjunct over a
-// dictionary-encoded scan column. Equality and ordering map to the exact
-// code / code-range of the literal; IN and LIKE map to the min/max matched
-// code (a conservative envelope — blocks inside it still run the full
+// scanCol resolves a column reference of the scan's output to its storage
+// column, or nil.
+func scanCol(s *plan.Scan, e expr.Expr) *storage.Column {
+	cr, ok := e.(*expr.ColRef)
+	if !ok || cr.Idx < 0 || cr.Idx >= len(s.Cols) {
+		return nil
+	}
+	return s.Table.Col(s.Cols[cr.Idx])
+}
+
+// stringPrune derives code-domain PruneConds from a string IN or LIKE
+// conjunct over a dictionary-encoded scan column: the min/max matched code
+// (a conservative envelope — blocks inside it still run the full
 // predicate). A conjunct no dictionary value satisfies yields the
-// impossible condition code = -1, pruning every block.
+// impossible condition code = -1, pruning every block. String comparisons
+// go through sargable.
 func stringPrune(s *plan.Scan, e expr.Expr) []PruneCond {
 	colDict := func(ce expr.Expr) (*storage.Column, *storage.Dict) {
-		cr, ok := ce.(*expr.ColRef)
-		if !ok || cr.Idx < 0 || cr.Idx >= len(s.Cols) {
-			return nil, nil
-		}
-		col := s.Table.Col(s.Cols[cr.Idx])
+		col := scanCol(s, ce)
 		if col == nil || col.Kind != storage.String {
 			return nil, nil
 		}
 		return col, col.Dict()
 	}
-	none := func(col *storage.Column) []PruneCond {
-		return []PruneCond{{Col: col, Op: expr.CmpEq, I: -1}}
-	}
 	span := func(col *storage.Column, lo, hi int64) []PruneCond {
+		if hi < 0 {
+			return []PruneCond{noneCond(col)}
+		}
 		return []PruneCond{
 			{Col: col, Op: expr.CmpGe, I: lo},
 			{Col: col, Op: expr.CmpLe, I: hi},
 		}
 	}
 	switch x := e.(type) {
-	case *expr.Cmp:
-		colE, constE, op := x.L, x.R, x.Op
-		if _, isCol := colE.(*expr.ColRef); !isCol {
-			colE, constE = x.R, x.L
-			op = flipCmp(op)
-		}
-		col, d := colDict(colE)
-		cst, isConst := constE.(*expr.Const)
-		if col == nil || d == nil || !isConst || cst.T.Kind != expr.KString {
-			return nil
-		}
-		code, found := d.Code(cst.S)
-		lb := d.LowerBound(cst.S)
-		ub := lb
-		if found {
-			ub++
-		}
-		switch op {
-		case expr.CmpEq:
-			if !found {
-				return none(col)
-			}
-			return []PruneCond{{Col: col, Op: expr.CmpEq, I: code}}
-		case expr.CmpNe:
-			if !found {
-				return nil
-			}
-			return []PruneCond{{Col: col, Op: expr.CmpNe, I: code}}
-		case expr.CmpLt:
-			return []PruneCond{{Col: col, Op: expr.CmpLt, I: lb}}
-		case expr.CmpLe:
-			return []PruneCond{{Col: col, Op: expr.CmpLt, I: ub}}
-		case expr.CmpGt:
-			return []PruneCond{{Col: col, Op: expr.CmpGe, I: ub}}
-		default: // CmpGe
-			return []PruneCond{{Col: col, Op: expr.CmpGe, I: lb}}
-		}
 	case *expr.InList:
 		col, d := colDict(x.Arg)
 		if col == nil || d == nil {
@@ -185,16 +172,9 @@ func stringPrune(s *plan.Scan, e expr.Expr) []PruneCond {
 		lo, hi := int64(math.MaxInt64), int64(-1)
 		for _, c := range x.List {
 			if code, ok := d.Code(c.S); ok {
-				if code < lo {
-					lo = code
-				}
-				if code > hi {
-					hi = code
-				}
+				lo = min(lo, code)
+				hi = max(hi, code)
 			}
-		}
-		if hi < 0 {
-			return none(col)
 		}
 		return span(col, lo, hi)
 	case *expr.LikeExpr:
@@ -214,98 +194,162 @@ func stringPrune(s *plan.Scan, e expr.Expr) []PruneCond {
 				hi = int64(i)
 			}
 		}
-		if lo < 0 {
-			return none(col)
-		}
 		return span(col, lo, hi)
 	}
 	return nil
 }
 
-// sargable recognizes `col <cmp> const` / `const <cmp> col` over a
-// fixed-width scan column and normalizes it into a PruneCond. It rejects
-// any shape whose runtime evaluation could rescale the column value (the
-// rescale carries an overflow check, and pruning must never elide a
-// potential trap), so only constants at or below the column's decimal
-// scale qualify.
+// noneCond is the impossible condition code = -1: no block may match.
+func noneCond(col *storage.Column) PruneCond {
+	return PruneCond{Col: col, Op: expr.CmpEq, I: -1}
+}
+
+// sargable recognizes `col <cmp> const` / `const <cmp> col` and the same
+// with a parameter `$n` in place of the constant. A constant is normalized
+// into the condition right away; a parameter yields an unresolved
+// condition that BindParams normalizes from each execution's binding
+// through the same normalize, so a prepared statement prunes exactly the
+// blocks the statement with its bindings inlined would.
 func sargable(s *plan.Scan, e expr.Expr) (PruneCond, bool) {
 	cmp, ok := e.(*expr.Cmp)
 	if !ok {
 		return PruneCond{}, false
 	}
-	colE, constE, op := cmp.L, cmp.R, cmp.Op
+	colE, valE, op := cmp.L, cmp.R, cmp.Op
 	if _, isCol := colE.(*expr.ColRef); !isCol {
-		colE, constE = cmp.R, cmp.L
+		colE, valE = cmp.R, cmp.L
 		op = flipCmp(op)
 	}
-	cr, ok := colE.(*expr.ColRef)
-	if !ok {
-		return PruneCond{}, false
-	}
-	cst, ok := constE.(*expr.Const)
-	if !ok {
-		return PruneCond{}, false
-	}
-	if cr.Idx < 0 || cr.Idx >= len(s.Cols) {
-		return PruneCond{}, false
-	}
-	col := s.Table.Col(s.Cols[cr.Idx])
+	col := scanCol(s, colE)
 	if col == nil {
 		return PruneCond{}, false
 	}
+	switch v := valE.(type) {
+	case *expr.Const:
+		return normalize(col, op, v)
+	case *expr.Param:
+		return PruneCond{Col: col, Param: v, ParamOp: op}, true
+	}
+	return PruneCond{}, false
+}
+
+// normalize converts the conjunct `col op c` into a PruneCond whose
+// threshold is in the column's stored representation: Decimal constants
+// rescaled to the column's scale, Float64 thresholds converted with the
+// int->float semantics the generated comparison uses (toFloatIR: SIToFP
+// then a divide by 10^scale), strings mapped to dictionary codes. ok is
+// false when the conjunct licenses no pruning. That includes any shape
+// whose runtime evaluation would rescale the column value: the rescale
+// carries an overflow check, and pruning must never elide a potential
+// trap, so only constants at or below the column's decimal scale qualify.
+func normalize(col *storage.Column, op expr.CmpOp, c *expr.Const) (PruneCond, bool) {
 	pc := PruneCond{Col: col, Op: op}
 	switch col.Kind {
 	case storage.Int64:
-		if cst.T.Kind != expr.KInt {
+		if c.T.Kind != expr.KInt {
 			return PruneCond{}, false
 		}
-		pc.I = cst.I
+		pc.I = c.I
 	case storage.Date:
-		if cst.T.Kind != expr.KDate {
+		if c.T.Kind != expr.KDate {
 			return PruneCond{}, false
 		}
-		pc.I = cst.I
+		pc.I = c.I
 	case storage.Char:
-		if cst.T.Kind != expr.KChar {
+		if c.T.Kind != expr.KChar {
 			return PruneCond{}, false
 		}
-		pc.I = cst.I
+		pc.I = c.I
 	case storage.Decimal:
 		var cscale int
-		switch cst.T.Kind {
+		switch c.T.Kind {
 		case expr.KInt:
 			cscale = 0
 		case expr.KDecimal:
-			cscale = cst.T.Scale
+			cscale = c.T.Scale
 		default:
 			return PruneCond{}, false
 		}
 		if cscale > col.Scale {
-			// The runtime would rescale the column value (with an
-			// overflow check); not prunable.
 			return PruneCond{}, false
 		}
-		v, ok := mulPow10(cst.I, col.Scale-cscale)
+		v, ok := mulPow10(c.I, col.Scale-cscale)
 		if !ok {
 			return PruneCond{}, false
 		}
 		pc.I = v
 	case storage.Float64:
-		// Mirror toFloatIR: SIToFP then a divide by 10^scale.
-		switch cst.T.Kind {
+		switch c.T.Kind {
 		case expr.KFloat:
-			pc.F = cst.F
+			pc.F = c.F
 		case expr.KInt:
-			pc.F = float64(cst.I)
+			pc.F = float64(c.I)
 		case expr.KDecimal:
-			pc.F = float64(cst.I) / float64(pow10(cst.T.Scale))
+			pc.F = float64(c.I) / float64(pow10(c.T.Scale))
 		default:
 			return PruneCond{}, false
 		}
 	default: // String
-		return PruneCond{}, false
+		return dictCond(col, op, c)
 	}
 	return pc, true
+}
+
+// dictCond maps a string comparison onto the column's order-preserving
+// dictionary: equality to the literal's exact code, ordering to the code
+// range around its lower bound. An equality no dictionary value satisfies
+// yields the impossible condition; an inequality against an absent value
+// prunes nothing.
+func dictCond(col *storage.Column, op expr.CmpOp, c *expr.Const) (PruneCond, bool) {
+	d := col.Dict()
+	if d == nil || c.T.Kind != expr.KString {
+		return PruneCond{}, false
+	}
+	code, found := d.Code(c.S)
+	lb := d.LowerBound(c.S)
+	ub := lb
+	if found {
+		ub++
+	}
+	switch op {
+	case expr.CmpEq:
+		if !found {
+			return noneCond(col), true
+		}
+		return PruneCond{Col: col, Op: expr.CmpEq, I: code}, true
+	case expr.CmpNe:
+		if !found {
+			return PruneCond{}, false
+		}
+		return PruneCond{Col: col, Op: expr.CmpNe, I: code}, true
+	case expr.CmpLt:
+		return PruneCond{Col: col, Op: expr.CmpLt, I: lb}, true
+	case expr.CmpLe:
+		return PruneCond{Col: col, Op: expr.CmpLt, I: ub}, true
+	case expr.CmpGt:
+		return PruneCond{Col: col, Op: expr.CmpGe, I: ub}, true
+	default: // CmpGe
+		return PruneCond{Col: col, Op: expr.CmpGe, I: lb}, true
+	}
+}
+
+// resolvePrune normalizes every parameter condition of the query's scan
+// pipelines from its binding. A binding normalize refuses (a decimal
+// finer than the column, a rescale that overflows, a string against a
+// column whose dictionary is gone) leaves the condition unresolved, which
+// prunes nothing.
+func (q *Query) resolvePrune(vals []*expr.Const) {
+	for _, pl := range q.Pipelines {
+		for i := range pl.Prune {
+			pc := &pl.Prune[i]
+			if pc.Param == nil {
+				continue
+			}
+			r, ok := normalize(pc.Col, pc.ParamOp, vals[pc.Param.Idx])
+			r.Col, r.Param, r.ParamOp, r.Bound = pc.Col, pc.Param, pc.ParamOp, ok
+			*pc = r
+		}
+	}
 }
 
 // flipCmp mirrors a comparison across its operands (const <cmp> col ->

@@ -20,10 +20,11 @@ type pruneMask struct {
 }
 
 // buildPruneMask evaluates the prune conditions against the table's zone
-// maps. Conditions whose column has no fresh zone map (never built, or
-// stale after appends) contribute nothing; all usable maps must share one
-// block size. Returns nil when nothing can be pruned — the dispatcher then
-// keeps its lock-free fast path.
+// maps. Unresolved conditions (a parameter threshold whose binding was
+// never installed or did not normalize) and conditions whose column has no
+// fresh zone map (never built, or stale after appends) contribute nothing;
+// all usable maps must share one block size. Returns nil when nothing can
+// be pruned — the dispatcher then keeps its lock-free fast path.
 func buildPruneMask(t *storage.Table, conds []codegen.PruneCond) *pruneMask {
 	rows := t.Rows()
 	if rows == 0 {
@@ -36,6 +37,9 @@ func buildPruneMask(t *storage.Table, conds []codegen.PruneCond) *pruneMask {
 	var usable []zoned
 	blockRows := 0
 	for _, pc := range conds {
+		if !pc.Resolved() {
+			continue
+		}
 		zm := pc.Col.Zone()
 		if zm == nil || zm.Rows != rows {
 			continue
