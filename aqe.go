@@ -36,7 +36,7 @@ import (
 // Mode selects the execution mode.
 type Mode = exec.Mode
 
-// Execution modes. ModeAdaptive (the default) starts every pipeline in the
+// Execution modes. ModeAdaptive (the zero Mode) starts every pipeline in the
 // bytecode interpreter and compiles it in the background when the
 // extrapolated remaining work justifies it; the other modes fix the tier
 // up front (the paper's static baselines).
@@ -68,60 +68,9 @@ func PaperCosts() *CostModel { return exec.Paper() }
 // no simulated latency.
 func NativeCosts() *CostModel { return exec.Native() }
 
-// Options configures a DB.
-type Options struct {
-	// Workers is the number of worker threads (default 4).
-	Workers int
-	// Mode is the execution mode (default ModeAdaptive).
-	Mode Mode
-	// Cost is the compile-cost model (default NativeCosts()).
-	Cost *CostModel
-	// Trace records per-morsel execution traces on every result.
-	Trace bool
-	// CacheBytes is the byte budget of the plan-fingerprint compilation
-	// cache that lets repeated queries skip translation and start in the
-	// best previously compiled tier. 0 selects the default (64 MiB);
-	// negative disables caching.
-	CacheBytes int64
-	// SerialFinalize retains the single-threaded pipeline-breaker path
-	// (join chain linking, aggregation merge) instead of the default
-	// hash-range partitioned parallel finalization.
-	SerialFinalize bool
-	// NoJoinFilter disables the Bloom filter generated in join probes.
-	NoJoinFilter bool
-	// FilterStats counts Bloom-filter hits and skipped chain walks per
-	// query (Stats.FilterHits/FilterSkips) at a small per-probe cost.
-	FilterStats bool
-	// NoZoneMaps disables zone-map morsel pruning: scans dispatch every
-	// block even when per-block min/max statistics prove the pushed-down
-	// predicate rejects it.
-	NoZoneMaps bool
-	// NoDict disables the order-preserving string dictionaries: string
-	// predicates, group hashing, and zone-map pruning run against the raw
-	// strings (results are bit-identical either way).
-	NoDict bool
-	// MaxConcurrent caps the number of queries executing at once; excess
-	// arrivals wait in a FIFO admission queue (Stats.Queued/WaitTime).
-	// Default 8.
-	MaxConcurrent int
-	// MaxConcurrentPerTenant additionally caps concurrent queries per
-	// tenant (0 = unlimited): a tenant at its quota queues even while
-	// global capacity is free, and never holds up other tenants.
-	MaxConcurrentPerTenant int
-	// TenantWeights sets fair-share weights for the worker pool (default
-	// 1 per tenant): under contention a tenant's morsels are granted
-	// workers in proportion to its weight.
-	TenantWeights map[string]int
-	// PoolWorkers sizes the shared worker pool all in-flight queries
-	// draw from (default GOMAXPROCS).
-	PoolWorkers int
-	// MorselCap bounds geometric morsel growth (default 65536 tuples).
-	// A morsel is the unit of preemption: under concurrent load no query
-	// waits for the pool longer than one in-flight morsel, so a service
-	// tuned for tail latency lowers the cap to trade a little dispatch
-	// amortization for a tighter worst-case wait.
-	MorselCap int64
-}
+// Options configures a DB; it is the engine's configuration (see
+// exec.Options for every field and its default).
+type Options = exec.Options
 
 // Query re-exports the multi-stage plan query type used by Exec.
 type Query = plan.Query
@@ -140,28 +89,7 @@ type DB struct {
 
 // Open creates a database.
 func Open(opts Options) *DB {
-	cacheBytes := opts.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = 64 << 20
-	} else if cacheBytes < 0 {
-		cacheBytes = 0
-	}
-	eopts := exec.Options{Workers: opts.Workers, Mode: opts.Mode,
-		Cost: opts.Cost, Trace: opts.Trace, CacheBytes: cacheBytes,
-		SerialFinalize: opts.SerialFinalize, NoJoinFilter: opts.NoJoinFilter,
-		FilterStats: opts.FilterStats, NoZoneMaps: opts.NoZoneMaps,
-		NoDict: opts.NoDict, MaxConcurrent: opts.MaxConcurrent,
-		MaxConcurrentPerTenant: opts.MaxConcurrentPerTenant,
-		TenantWeights:          opts.TenantWeights,
-		PoolWorkers:            opts.PoolWorkers,
-		MorselCap:              opts.MorselCap}
-	if eopts.Mode == 0 && opts.Cost == nil {
-		eopts.Mode = ModeAdaptive
-	}
-	if eopts.Cost == nil {
-		eopts.Cost = exec.Native()
-	}
-	return &DB{cat: storage.NewCatalog(), eng: exec.New(eopts)}
+	return &DB{cat: storage.NewCatalog(), eng: exec.New(opts)}
 }
 
 // Register adds a table to the catalog.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"aqe/internal/exec"
 )
 
 func TestPublicAPI(t *testing.T) {
@@ -63,6 +65,34 @@ func TestPublicAPIModes(t *testing.T) {
 		} else if res.Rows[0][0].I != want {
 			t.Errorf("%v: revenue %d, want %d", m, res.Rows[0][0].I, want)
 		}
+	}
+}
+
+// TestOpenKeepsMode: the engine runs the mode Open was asked for — the
+// zero Mode is adaptive, so no other mode may be mistaken for "unset".
+func TestOpenKeepsMode(t *testing.T) {
+	for _, m := range []Mode{ModeAdaptive, ModeBytecode, ModeUnoptimized,
+		ModeOptimized, exec.ModeIRInterp, ModeNative, ModeVector} {
+		if got := Open(Options{Mode: m}).Engine().Options().Mode; got != m {
+			t.Errorf("asked for %v, engine runs %v", m, got)
+		}
+	}
+}
+
+// TestOpenDefaults pins the defaults of the zero Options: adaptive mode,
+// the native cost model and a 64 MiB plan cache, which a negative budget
+// disables.
+func TestOpenDefaults(t *testing.T) {
+	db := Open(Options{})
+	o := db.Engine().Options()
+	if o.Mode != ModeAdaptive || o.Cost == nil || o.Cost.Simulate {
+		t.Errorf("zero Options: mode %v, cost %+v; want adaptive with native costs", o.Mode, o.Cost)
+	}
+	if b := db.Engine().CacheStats().Budget; b != 64<<20 {
+		t.Errorf("zero Options: cache budget %d, want %d", b, 64<<20)
+	}
+	if b := Open(Options{CacheBytes: -1}).Engine().CacheStats().Budget; b != 0 {
+		t.Errorf("CacheBytes -1: cache budget %d, want 0 (disabled)", b)
 	}
 }
 

@@ -24,7 +24,7 @@ var benchCat = tpch.Gen(benchSF)
 
 func runQuery(b *testing.B, qn int, mode exec.Mode, workers int) {
 	b.Helper()
-	e := exec.New(exec.Options{Workers: workers, Mode: mode, Cost: exec.Native()})
+	e := exec.New(exec.Options{Workers: workers, Mode: mode, Cost: exec.Native(), CacheBytes: -1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(tpch.Query(benchCat, qn)); err != nil {
@@ -83,7 +83,7 @@ func BenchmarkFig13(b *testing.B) {
 	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeUnoptimized,
 		exec.ModeOptimized, exec.ModeAdaptive} {
 		b.Run(m.String(), func(b *testing.B) {
-			e := exec.New(exec.Options{Workers: 4, Mode: m, Cost: exec.Native()})
+			e := exec.New(exec.Options{Workers: 4, Mode: m, Cost: exec.Native(), CacheBytes: -1})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, qn := range []int{1, 3, 6, 11} {
@@ -100,7 +100,7 @@ func BenchmarkFig13(b *testing.B) {
 // enabled, covering the trace-recording overhead path.
 func BenchmarkFig14(b *testing.B) {
 	e := exec.New(exec.Options{Workers: 4, Mode: exec.ModeAdaptive,
-		Cost: exec.Native(), Trace: true})
+		Cost: exec.Native(), Trace: true, CacheBytes: -1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(tpch.Query(benchCat, 11)); err != nil {
@@ -165,7 +165,7 @@ func BenchmarkFusionAblation(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			e := exec.New(exec.Options{Workers: 1, Mode: exec.ModeBytecode,
-				VM: vm.Options{NoFusion: !fusion}})
+				VM: vm.Options{NoFusion: !fusion}, CacheBytes: -1})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Run(tpch.Query(benchCat, 1)); err != nil {

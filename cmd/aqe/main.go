@@ -24,11 +24,12 @@ import (
 	"time"
 
 	"aqe"
+	"aqe/internal/exec"
 )
 
 var (
 	sf      = flag.Float64("sf", 0.01, "TPC-H scale factor")
-	mode    = flag.String("mode", "adaptive", "bytecode|unoptimized|optimized|native|vector|adaptive")
+	mode    = flag.String("mode", "adaptive", "adaptive|bytecode|unoptimized|optimized|ir-interp|native|vector")
 	wrk     = flag.Int("workers", 4, "per-query worker slots")
 	maxq    = flag.Int("maxq", 8, "max concurrently executing queries (admission cap)")
 	timeout = flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
@@ -47,11 +48,11 @@ type job struct {
 
 func main() {
 	flag.Parse()
-	m := map[string]aqe.Mode{
-		"bytecode": aqe.ModeBytecode, "unoptimized": aqe.ModeUnoptimized,
-		"optimized": aqe.ModeOptimized, "adaptive": aqe.ModeAdaptive,
-		"native": aqe.ModeNative, "vector": aqe.ModeVector,
-	}[*mode]
+	m, err := exec.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "aqe:", err)
+		os.Exit(2)
+	}
 	db := aqe.Open(aqe.Options{Workers: *wrk, Mode: m, MaxConcurrent: *maxq})
 	sess := db.NewSession("")
 	fmt.Printf("loading TPC-H at SF %g...\n", *sf)

@@ -24,7 +24,7 @@ func joinorder() {
 	cat := catalog(*sfFlag)
 	newEng := func() *exec.Engine {
 		return exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-			Cost: exec.Native()})
+			Cost: exec.Native(), CacheBytes: -1})
 	}
 	timePlan := func(node plan.Node, name string) time.Duration {
 		best := time.Duration(0)
@@ -91,7 +91,7 @@ func joinorder() {
 				log.Fatal(err)
 			}
 			e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-				Cost: exec.Native(), ReplanThreshold: threshold})
+				Cost: exec.Native(), ReplanThreshold: threshold, CacheBytes: -1})
 			t0 := time.Now()
 			res, err := e.RunPlanReplan(ctx, prep.Root, "misestimate", prep)
 			if err != nil {

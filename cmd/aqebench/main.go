@@ -6,8 +6,8 @@
 //	aqebench -exp fig13 -maxsf 1 # the SF sweep up to SF 1
 //
 // Experiments: fig2, fig6, fig13, fig14, fig15, table1, table2, regalloc,
-// cache, breakers, zonemaps, dict, concurrency, joinorder, native, hybrid,
-// service (open-loop wire-protocol load with per-tenant fair-share).
+// cache, concurrency, joinorder, native, hybrid, service (open-loop
+// wire-protocol load with per-tenant fair-share).
 package main
 
 import (
@@ -43,11 +43,11 @@ func mustCompile(node plan.Node, mem *rt.Memory, name string) *codegen.Query {
 }
 
 var (
-	expFlag   = flag.String("exp", "all", "experiment: fig2|fig6|fig13|fig14|fig15|table1|table2|regalloc|cache|breakers|zonemaps|dict|concurrency|joinorder|native|hybrid|service|all")
+	expFlag   = flag.String("exp", "all", "experiment: fig2|fig6|fig13|fig14|fig15|table1|table2|regalloc|cache|concurrency|joinorder|native|hybrid|service|all")
 	sfFlag    = flag.Float64("sf", 0.1, "TPC-H scale factor for single-scale experiments")
 	maxSfFlag = flag.Float64("maxsf", 0.3, "largest scale factor of the fig13 sweep")
 	workers   = flag.Int("workers", 4, "worker threads")
-	cacheFlag = flag.Int64("cache", 64<<20, "plan-cache byte budget for the cache experiment (0 disables)")
+	cacheFlag = flag.Int64("cache", 64<<20, "plan-cache byte budget for the cache experiment (0 = the 64 MiB default, negative disables)")
 	durFlag   = flag.Duration("dur", 1500*time.Millisecond, "measurement window per client count in the concurrency experiment")
 	qpsFlag   = flag.Float64("qps", 60, "per-tenant open-loop arrival rate for the service experiment")
 )
@@ -70,9 +70,6 @@ func main() {
 	run("table2", table2)
 	run("regalloc", regalloc)
 	run("cache", cacheExp)
-	run("breakers", breakers)
-	run("zonemaps", zonemaps)
-	run("dict", dict)
 	run("concurrency", concurrency)
 	run("joinorder", joinorder)
 	run("native", nativeExp)
@@ -96,7 +93,7 @@ func catalog(sf float64) *storage.Catalog {
 // totalTime is planning + codegen + translation + compilation + execution —
 // the quantity Fig. 13 plots — with the paper-calibrated compile latency.
 func totalTime(q plan.Query, mode exec.Mode, w int, cost *exec.CostModel) (time.Duration, error) {
-	e := exec.New(exec.Options{Workers: w, Mode: mode, Cost: cost})
+	e := exec.New(exec.Options{Workers: w, Mode: mode, Cost: cost, CacheBytes: -1})
 	t0 := time.Now()
 	_, err := e.Run(q)
 	return time.Since(t0), err
@@ -119,7 +116,7 @@ func fig2() {
 		{"optimized", exec.ModeOptimized, exec.Paper()},
 	}
 	for _, m := range modes {
-		e := exec.New(exec.Options{Workers: 1, Mode: m.mode, Cost: m.cost})
+		e := exec.New(exec.Options{Workers: 1, Mode: m.mode, Cost: m.cost, CacheBytes: -1})
 		res, err := e.Run(tpch.Query(cat, 1))
 		if err != nil {
 			fmt.Println("error:", err)
@@ -227,7 +224,7 @@ func fig14() {
 	fmt.Printf("TPC-H Q11 at SF %.2f, 4 workers (paper: SF 1)\n\n", *sfFlag)
 	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeUnoptimized, exec.ModeAdaptive} {
 		e := exec.New(exec.Options{Workers: 4, Mode: m, Cost: exec.Paper(),
-			Trace: true, MorselSize: 1024})
+			Trace: true, MorselSize: 1024, CacheBytes: -1})
 		// Run both stages and merge their traces onto one axis.
 		q := tpch.Query(cat, 11)
 		prior := map[string]*storage.Table{}
@@ -362,7 +359,7 @@ func table2() {
 		}
 		for _, w := range []int{1, *workers} {
 			for _, mode := range []exec.Mode{exec.ModeBytecode, exec.ModeUnoptimized, exec.ModeOptimized} {
-				e := exec.New(exec.Options{Workers: w, Mode: mode, Cost: native})
+				e := exec.New(exec.Options{Workers: w, Mode: mode, Cost: native, CacheBytes: -1})
 				res, err := e.Run(tpch.Query(cat, qn))
 				d := math.NaN()
 				if err == nil {
@@ -402,7 +399,7 @@ func table2() {
 // column-at-a-time stand-in.
 func runBaseline(cat *storage.Catalog, qn int, eng string) error {
 	if eng == "monet" {
-		e := exec.New(exec.Options{Workers: 1, Mode: exec.ModeVector, Cost: exec.Native()})
+		e := exec.New(exec.Options{Workers: 1, Mode: exec.ModeVector, Cost: exec.Native(), CacheBytes: -1})
 		_, err := e.Run(tpch.Query(cat, qn))
 		return err
 	}
@@ -410,7 +407,7 @@ func runBaseline(cat *storage.Catalog, qn int, eng string) error {
 	prior := map[string]*storage.Table{}
 	for i, stg := range q.Stages {
 		node := stg.Build(prior)
-		var rows [][]aqeDatum
+		var rows [][]expr.Datum
 		var err error
 		rows, err = volcano.Run(node)
 		if err != nil {
@@ -518,294 +515,6 @@ func cacheExp() {
 	fmt.Println("(cold pays translation plus the paper-calibrated LLVM latency; warm starts in the best cached tier)")
 }
 
-// ---- breakers: parallel pipeline-breaker finalization + Bloom filters ----
-
-// breakers measures the two halves of the parallel-breaker work: the wall
-// time spent inside join/aggregation finalization as the worker count grows
-// (serial vs hash-range partitioned), and the end-to-end effect of the
-// Bloom-filtered probes on join-heavy queries. Native costs, optimized
-// mode: no simulated compile latency pollutes the barrier measurement.
-func breakers() {
-	cat := catalog(*sfFlag)
-	native := exec.Native()
-	const reps = 3
-
-	// Finalize wall time over breaker-heavy queries, summed per config;
-	// best of reps runs to damp scheduler noise.
-	breakerQs := []int{3, 9, 13, 18, 21}
-	measure := func(w int, serial bool) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for r := 0; r < reps; r++ {
-			var tot time.Duration
-			for _, qn := range breakerQs {
-				e := exec.New(exec.Options{Workers: w, Mode: exec.ModeOptimized,
-					Cost: native, SerialFinalize: serial})
-				res, err := e.Run(tpch.Query(cat, qn))
-				if err != nil {
-					panic(fmt.Sprintf("Q%d: %v", qn, err))
-				}
-				tot += res.Stats.Finalize
-			}
-			if tot < best {
-				best = tot
-			}
-		}
-		return best
-	}
-	fmt.Printf("breaker finalize wall time at SF %.2f (sum over Q3,9,13,18,21; optimized mode, native costs, best of %d)\n",
-		*sfFlag, reps)
-	fmt.Printf("%-8s %12s %14s %9s\n", "workers", "serial[ms]", "parallel[ms]", "speedup")
-	for _, w := range []int{1, 2, 4, 8} {
-		s := measure(w, true)
-		p := measure(w, false)
-		fmt.Printf("%-8d %12.2f %14.2f %8.2fx\n", w, ms(s), ms(p), ms(s)/ms(p))
-	}
-
-	// Bloom filter on/off, end-to-end execution time of probe-heavy queries.
-	probeQs := []int{5, 9, 18, 21}
-	fmt.Printf("\nBloom-filtered probes at SF %.2f, %d workers (exec time, best of %d)\n",
-		*sfFlag, *workers, reps)
-	fmt.Printf("%-6s %12s %12s %9s %12s %12s %7s\n",
-		"query", "off[ms]", "on[ms]", "speedup", "hits", "skips", "skip%")
-	for _, qn := range probeQs {
-		exe := func(noFilter bool) time.Duration {
-			best := time.Duration(math.MaxInt64)
-			for r := 0; r < reps; r++ {
-				e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-					Cost: native, NoJoinFilter: noFilter})
-				res, err := e.Run(tpch.Query(cat, qn))
-				if err != nil {
-					panic(fmt.Sprintf("Q%d: %v", qn, err))
-				}
-				if res.Stats.Exec < best {
-					best = res.Stats.Exec
-				}
-			}
-			return best
-		}
-		off := exe(true)
-		on := exe(false)
-		// A separate counting pass: the hit/skip counters cost per-probe
-		// work, so they stay out of the timed runs.
-		e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-			Cost: native, FilterStats: true})
-		res, err := e.Run(tpch.Query(cat, qn))
-		if err != nil {
-			panic(fmt.Sprintf("Q%d: %v", qn, err))
-		}
-		hits, skips := res.Stats.FilterHits, res.Stats.FilterSkips
-		pct := 0.0
-		if hits+skips > 0 {
-			pct = 100 * float64(skips) / float64(hits+skips)
-		}
-		fmt.Printf("%-6s %12.2f %12.2f %8.2fx %12d %12d %6.1f%%\n",
-			fmt.Sprintf("Q%d", qn), ms(off), ms(on), ms(off)/ms(on), hits, skips, pct)
-	}
-	fmt.Println("(skip% = probes whose chain walk the filter eliminated)")
-
-	// Out-of-cache probe: the filter's target regime is a build table whose
-	// bucket array misses the LLC while the 4x-denser filter still fits.
-	// TPC-H at small SF keeps every bucket array cache-resident, where a
-	// skipped bucket load saves nothing; this workload sizes the build side
-	// past the LLC (64M buckets = 512 MB, filter = 128 MB) with ~90% of
-	// probes missing.
-	const nBuild = 20_000_000
-	const nProbe = 40_000_000
-	bk := storage.NewColumn("k", storage.Int64)
-	for i := 0; i < nBuild; i++ {
-		bk.AppendInt64(int64(i))
-	}
-	bt := storage.NewTable("bigbuild", bk)
-	pk := storage.NewColumn("p", storage.Int64)
-	for i := 0; i < nProbe; i++ {
-		pk.AppendInt64(int64(uint64(i) * 0x9E3779B97F4A7C15 % (10 * nBuild)))
-	}
-	pt := storage.NewTable("bigprobe", pk)
-	mkPlan := func() plan.Node {
-		b := plan.NewScan(bt, "k")
-		p := plan.NewScan(pt, "p")
-		j := plan.NewJoin(plan.Inner, b, p,
-			[]expr.Expr{plan.C(b.Schema(), "k")},
-			[]expr.Expr{plan.C(p.Schema(), "p")}, nil)
-		return plan.NewGroupBy(j, nil, nil,
-			[]plan.AggExpr{{Func: plan.CountStar, Name: "n"}})
-	}
-	bigExe := func(noFilter, stats bool) *exec.Result {
-		best := (*exec.Result)(nil)
-		for r := 0; r < 2; r++ {
-			e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-				Cost: native, NoJoinFilter: noFilter, FilterStats: stats})
-			res, err := e.RunPlan(mkPlan(), "bigprobe")
-			if err != nil {
-				panic(err)
-			}
-			if best == nil || res.Stats.Exec < best.Stats.Exec {
-				best = res
-			}
-		}
-		return best
-	}
-	fmt.Printf("\nout-of-cache probe (%dM build keys, %dM probes, ~90%% miss; optimized mode, %d workers, best of 2)\n",
-		nBuild/1000000, nProbe/1000000, *workers)
-	boff := bigExe(true, false)
-	bon := bigExe(false, false)
-	bst := bigExe(false, true)
-	fmt.Printf("  filter off: %8.1f ms   filter on: %8.1f ms   speedup: %.2fx   skip%%: %.1f\n",
-		ms(boff.Stats.Exec), ms(bon.Stats.Exec), ms(boff.Stats.Exec)/ms(bon.Stats.Exec),
-		100*float64(bst.Stats.FilterSkips)/float64(bst.Stats.FilterHits+bst.Stats.FilterSkips))
-}
-
-// ---- zonemaps: zone-map morsel pruning on/off + block-size sweep ----
-
-// zonemaps measures what data skipping buys on top of compilation: all 22
-// queries with pruning on vs off (optimized mode, native costs — scan
-// throughput is the quantity under test) plus the per-query skip rate,
-// then a block-size sweep on Q6, the classic zone-map query (three range
-// predicates on a date-clustered fact table).
-func zonemaps() {
-	cat := catalog(*sfFlag)
-	native := exec.Native()
-	const reps = 3
-	exe := func(qn int, off bool) *exec.Result {
-		var best *exec.Result
-		for r := 0; r < reps; r++ {
-			e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-				Cost: native, NoZoneMaps: off})
-			res, err := e.Run(tpch.Query(cat, qn))
-			if err != nil {
-				panic(fmt.Sprintf("Q%d: %v", qn, err))
-			}
-			if best == nil || res.Stats.Exec < best.Stats.Exec {
-				best = res
-			}
-		}
-		return best
-	}
-	fmt.Printf("zone-map pruning at SF %.2f, %d workers (optimized mode, native costs, exec time, best of %d)\n",
-		*sfFlag, *workers, reps)
-	fmt.Printf("%-6s %10s %10s %9s %12s %12s %7s\n",
-		"query", "off[ms]", "on[ms]", "speedup", "pruned", "prunable", "skip%")
-	for qn := 1; qn <= 22; qn++ {
-		off := exe(qn, true)
-		on := exe(qn, false)
-		st := on.Stats
-		pct := 0.0
-		if st.PrunableTuples > 0 {
-			pct = 100 * float64(st.TuplesPruned) / float64(st.PrunableTuples)
-		}
-		fmt.Printf("%-6s %10.2f %10.2f %8.2fx %12d %12d %6.1f%%\n",
-			fmt.Sprintf("Q%d", qn), ms(off.Stats.Exec), ms(on.Stats.Exec),
-			ms(off.Stats.Exec)/ms(on.Stats.Exec),
-			st.TuplesPruned, st.PrunableTuples, pct)
-	}
-	fmt.Println("(skip% = pruned tuples / source tuples of scans carrying a prune descriptor; multi-stage queries report their final stage)")
-
-	// Block-size sweep on Q6: smaller blocks prune at finer granularity but
-	// cost more statistics; 64k matches the largest morsel.
-	fmt.Printf("\nQ6 block-size sweep (same setup)\n")
-	fmt.Printf("%-10s %10s %12s %12s %7s\n", "blockRows", "on[ms]", "pruned", "prunable", "skip%")
-	for _, br := range []int{4096, 16384, 65536, 262144} {
-		cat.BuildZoneMaps(br)
-		on := exe(6, false)
-		st := on.Stats
-		pct := 0.0
-		if st.PrunableTuples > 0 {
-			pct = 100 * float64(st.TuplesPruned) / float64(st.PrunableTuples)
-		}
-		fmt.Printf("%-10d %10.2f %12d %12d %6.1f%%\n",
-			br, ms(on.Stats.Exec), st.TuplesPruned, st.PrunableTuples, pct)
-	}
-	// The catalog is shared across experiments: restore the default maps.
-	cat.BuildZoneMaps(storage.DefaultZoneBlockRows)
-}
-
-// ---- dict: order-preserving string dictionaries on/off ----
-
-// dict measures what the dictionary rewrites buy: all 22 TPC-H queries
-// with NoDict on vs off (optimized mode, native costs — string predicate
-// and hashing throughput is the quantity under test) with per-query
-// rewrite counts and string zone-map skips, then a synthetic
-// high-cardinality string workload whose clustered key makes code-valued
-// zone maps prune.
-func dict() {
-	cat := catalog(*sfFlag)
-	native := exec.Native()
-	const reps = 3
-	exe := func(qn int, off bool) *exec.Result {
-		var best *exec.Result
-		for r := 0; r < reps; r++ {
-			e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-				Cost: native, NoDict: off})
-			res, err := e.Run(tpch.Query(cat, qn))
-			if err != nil {
-				panic(fmt.Sprintf("Q%d: %v", qn, err))
-			}
-			if best == nil || res.Stats.Exec < best.Stats.Exec {
-				best = res
-			}
-		}
-		return best
-	}
-	fmt.Printf("string dictionaries at SF %.2f, %d workers (optimized mode, native costs, exec time, best of %d)\n",
-		*sfFlag, *workers, reps)
-	fmt.Printf("%-6s %10s %10s %9s %9s %9s %10s %7s\n",
-		"query", "off[ms]", "on[ms]", "speedup", "rewrites", "strblk", "pruned", "skip%")
-	for qn := 1; qn <= 22; qn++ {
-		off := exe(qn, true)
-		on := exe(qn, false)
-		st := on.Stats
-		pct := 0.0
-		if st.PrunableTuples > 0 {
-			pct = 100 * float64(st.TuplesPruned) / float64(st.PrunableTuples)
-		}
-		fmt.Printf("%-6s %10.2f %10.2f %8.2fx %9d %9d %10d %6.1f%%\n",
-			fmt.Sprintf("Q%d", qn), ms(off.Stats.Exec), ms(on.Stats.Exec),
-			ms(off.Stats.Exec)/ms(on.Stats.Exec),
-			st.DictRewrites, st.StringBlocksPruned, st.TuplesPruned, pct)
-	}
-	fmt.Println("(rewrites/strblk/skip% report the final stage of multi-stage queries)")
-
-	// Synthetic high-cardinality string workload: a near-sorted key column
-	// (range predicate → tight code zone maps) plus a low-cardinality
-	// category LIKE and a group-by on the category.
-	rows := int(*sfFlag * 6_000_000)
-	if rows < 50_000 {
-		rows = 50_000
-	}
-	st := synth.StringTable(rows)
-	lo := fmt.Sprintf("sku-%08d", rows*4*45/100)
-	hi := fmt.Sprintf("sku-%08d", rows*4*55/100)
-	synExe := func(off bool) *exec.Result {
-		var best *exec.Result
-		for r := 0; r < reps; r++ {
-			e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-				Cost: native, NoDict: off})
-			res, err := e.RunPlan(synth.StringAggPlan(st, lo, hi), "strsynth")
-			if err != nil {
-				panic(err)
-			}
-			if best == nil || res.Stats.Exec < best.Stats.Exec {
-				best = res
-			}
-		}
-		return best
-	}
-	off := synExe(true)
-	on := synExe(false)
-	s := on.Stats
-	pct := 0.0
-	if s.PrunableTuples > 0 {
-		pct = 100 * float64(s.TuplesPruned) / float64(s.PrunableTuples)
-	}
-	fmt.Printf("\nsynthetic string table (%d rows, ~%d distinct keys, 10%% key range + category LIKE, group by category)\n",
-		rows, rows)
-	fmt.Printf("  dict off: %8.2f ms   dict on: %8.2f ms   speedup: %.2fx   rewrites: %d   string blocks pruned: %d   skip%%: %.1f\n",
-		ms(off.Stats.Exec), ms(on.Stats.Exec), ms(off.Stats.Exec)/ms(on.Stats.Exec),
-		s.DictRewrites, s.StringBlocksPruned, pct)
-}
-
-type aqeDatum = expr.Datum
-
 // ---- concurrency: throughput and latency vs concurrent clients ----
 
 // concurrency drives one shared engine with 1..16 closed-loop clients
@@ -843,12 +552,8 @@ func concurrency() {
 			"clients", "QPS", "speedup", "mean[ms]", "p50[ms]", "p95[ms]", "wait[ms]", "queued")
 		var base float64
 		for _, nc := range clientCounts {
-			cb := s.cache
-			if cb < 0 {
-				cb = 0
-			}
 			e := exec.New(exec.Options{Workers: 2, PoolWorkers: *workers,
-				MaxConcurrent: admitCap, Mode: s.mode, Cost: s.cost, CacheBytes: cb})
+				MaxConcurrent: admitCap, Mode: s.mode, Cost: s.cost, CacheBytes: s.cache})
 			var mu sync.Mutex
 			var lats []time.Duration
 			var measuring atomic.Bool

@@ -205,7 +205,7 @@ func nativeExp() {
 		for _, mode := range modes {
 			best := (*exec.Result)(nil)
 			for r := 0; r < reps; r++ {
-				e := exec.New(exec.Options{Workers: *workers, Mode: mode, Cost: exec.Native()})
+				e := exec.New(exec.Options{Workers: *workers, Mode: mode, Cost: exec.Native(), CacheBytes: -1})
 				res, err := wl.run(e)
 				if err != nil {
 					panic(fmt.Sprintf("%s %v: %v", wl.name, mode, err))
@@ -229,35 +229,6 @@ func nativeExp() {
 		}
 		if wl.name == "hashwalk" {
 			hwNative, hwBytecode = cells[3], cells[0]
-		}
-	}
-
-	// Register-allocator ablation: the same ModeNative run with the
-	// allocator on (default) vs the slot-per-op baseline (NoRegAlloc).
-	if asm.Supported() {
-		// More reps than the tier table, and the two backends interleaved
-		// rep by rep: the backends are often within tens of percent of each
-		// other, so machine drift between two back-to-back measurement
-		// phases would otherwise dominate the difference.
-		const ablReps = 7
-		fmt.Printf("\nregister-allocator ablation (ModeNative exec, best of %d interleaved)\n", ablReps)
-		fmt.Printf("%-10s %12s %12s %9s\n", "workload", "regalloc[ms]", "slots[ms]", "speedup")
-		for _, wl := range wls {
-			one := func(noRA bool) float64 {
-				e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeNative,
-					Cost: exec.Native(), NoRegAlloc: noRA})
-				res, err := wl.run(e)
-				if err != nil {
-					panic(fmt.Sprintf("%s ablation: %v", wl.name, err))
-				}
-				return ms(res.Stats.Exec)
-			}
-			ra, slots := math.Inf(1), math.Inf(1)
-			for r := 0; r < ablReps; r++ {
-				ra = math.Min(ra, one(false))
-				slots = math.Min(slots, one(true))
-			}
-			fmt.Printf("%-10s %12.2f %12.2f %8.2fx\n", wl.name, ra, slots, slots/ra)
 		}
 	}
 

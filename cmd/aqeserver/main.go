@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"aqe"
+	"aqe/internal/exec"
 	"aqe/internal/server"
 )
 
@@ -29,34 +30,17 @@ var (
 	sfFlag      = flag.Float64("sf", 0.05, "TPC-H scale factor to load")
 	addrFlag    = flag.String("addr", ":8480", "HTTP listen address ('' disables)")
 	binAddrFlag = flag.String("binaddr", ":8481", "binary-protocol listen address ('' disables)")
-	modeFlag    = flag.String("mode", "adaptive", "execution mode: adaptive|bytecode|optimized|native|vector")
+	modeFlag    = flag.String("mode", "adaptive", "execution mode: adaptive|bytecode|unoptimized|optimized|ir-interp|native|vector")
 	workersFlag = flag.Int("workers", 0, "worker threads (0 = default)")
 	maxqFlag    = flag.Int("maxq", 8, "max concurrent queries")
 	perTenFlag  = flag.Int("max-per-tenant", 0, "max concurrent queries per tenant (0 = unlimited)")
 	weightsFlag = flag.String("weights", "", "fair-share weights, e.g. gold=4,silver=2")
 	timeoutFlag = flag.Duration("timeout", 0, "default per-request deadline (0 = none)")
 	drainFlag   = flag.Duration("draintimeout", 30*time.Second, "graceful-drain bound on shutdown")
-	cacheFlag   = flag.Int64("cache", 64<<20, "plan-cache byte budget")
+	cacheFlag   = flag.Int64("cache", 64<<20, "plan-cache byte budget (0 = the 64 MiB default, negative disables the cache)")
 	readyFlag   = flag.Bool("ready-line", false, "print one READY line with the bound addresses")
 	chunkFlag   = flag.Int("chunk", 256, "rows per streamed chunk")
 )
-
-func mode(name string) aqe.Mode {
-	switch name {
-	case "bytecode":
-		return aqe.ModeBytecode
-	case "optimized":
-		return aqe.ModeOptimized
-	case "native":
-		return aqe.ModeNative
-	case "vector":
-		return aqe.ModeVector
-	case "adaptive", "":
-		return aqe.ModeAdaptive
-	}
-	log.Fatalf("unknown -mode %q", name)
-	return 0
-}
 
 func parseWeights(s string) map[string]int {
 	if s == "" {
@@ -76,8 +60,12 @@ func parseWeights(s string) map[string]int {
 
 func main() {
 	flag.Parse()
+	mode, err := exec.ParseMode(*modeFlag)
+	if err != nil {
+		log.Fatalf("-mode: %v", err)
+	}
 	db := aqe.Open(aqe.Options{
-		Mode:                   mode(*modeFlag),
+		Mode:                   mode,
 		Workers:                *workersFlag,
 		MaxConcurrent:          *maxqFlag,
 		MaxConcurrentPerTenant: *perTenFlag,

@@ -28,14 +28,13 @@ var (
 
 func main() {
 	flag.Parse()
-	m := map[string]exec.Mode{
-		"bytecode": exec.ModeBytecode, "unoptimized": exec.ModeUnoptimized,
-		"optimized": exec.ModeOptimized, "adaptive": exec.ModeAdaptive,
-		"native": exec.ModeNative, "vector": exec.ModeVector,
-	}[*mode]
+	m, err := exec.ParseMode(*mode)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cat := tpch.Gen(*sf)
 	eng := exec.New(exec.Options{Workers: *wrk, Mode: m, Cost: exec.Paper(),
-		Trace: true, MorselSize: 1024, ReplanThreshold: *thresh})
+		CacheBytes: -1, Trace: true, MorselSize: 1024, ReplanThreshold: *thresh})
 	var merged *exec.Trace
 	if *useOpt {
 		var lg *opt.Logical

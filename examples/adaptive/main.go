@@ -17,7 +17,7 @@ import (
 func main() {
 	cat := tpch.Gen(0.1)
 	eng := exec.New(exec.Options{Workers: 4, Mode: exec.ModeAdaptive,
-		Cost: exec.Paper(), Trace: true, MorselSize: 1024})
+		Cost: exec.Paper(), Trace: true, MorselSize: 1024, CacheBytes: -1})
 
 	q := tpch.Query(cat, 11)
 	prior := map[string]*storage.Table{}

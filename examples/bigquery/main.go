@@ -15,7 +15,7 @@ import (
 
 func main() {
 	table := synth.Table(50000)
-	eng := exec.New(exec.Options{Workers: 4, Mode: exec.ModeAdaptive, Cost: exec.Paper()})
+	eng := exec.New(exec.Options{Workers: 4, Mode: exec.ModeAdaptive, Cost: exec.Paper(), CacheBytes: -1})
 
 	fmt.Println("machine-generated wide-aggregate queries (paper §V-E), adaptive execution:")
 	for _, nAggs := range []int{10, 100, 400, 1000} {

@@ -115,12 +115,6 @@ type JoinDesc struct {
 	TupleSize int
 	StateOff  int
 	NumKeys   int
-	// Filter marks that the generated probe code expects a Bloom filter
-	// published at StateOff+16 and checks it before walking the chain.
-	Filter bool
-	// StatsLocalOff is the worker-local offset of the [hits u64][skips u64]
-	// filter counters the probe code maintains, or -1 when disabled.
-	StatsLocalOff int
 }
 
 // AggDesc mirrors the aggregation layout.
@@ -162,35 +156,16 @@ const (
 	paramHeapCap = 1 << 16
 )
 
-// Options selects optional code-generation features. The generated IR
-// differs per option set, so cached plans keyed by IR fingerprint never
-// collide across option values.
-type Options struct {
-	// JoinFilter emits a Bloom-filter check before every join chain walk.
-	JoinFilter bool
-	// FilterStats additionally maintains per-worker filter hit/skip
-	// counters in the local arena (costs two loads/stores per probe).
-	FilterStats bool
-	// NoDict disables every dictionary-code rewrite (predicates, group-key
-	// hashing, string zone-map pruning); string operations go through the
-	// byte-level runtime externs exactly as for undictionarized columns.
-	NoDict bool
-}
-
-// Compile translates a plan into IR with the default options (Bloom
-// filters on, counters off).
-func Compile(root plan.Node, mem *rt.Memory, name string) (*Query, error) {
-	return CompileOpts(root, mem, name, Options{JoinFilter: true})
-}
-
-// CompileOpts translates a plan into IR against the given address space
-// (the table columns referenced by the plan are registered as segments and
+// Compile translates a plan into IR against the given address space (the
+// table columns referenced by the plan are registered as segments and
 // their base addresses embedded as constants, as HyPer embeds pointers).
-func CompileOpts(root plan.Node, mem *rt.Memory, name string, opts Options) (*Query, error) {
+// Every join probe checks a Bloom filter before walking its chain, and
+// string operations over columns with a fresh dictionary compile against
+// dictionary codes.
+func Compile(root plan.Node, mem *rt.Memory, name string) (*Query, error) {
 	g := &cgen{
 		mem:        mem,
 		mod:        ir.NewModule(name),
-		opts:       opts,
 		colBase:    make(map[*storage.Column]uint64),
 		heapBase:   make(map[*storage.Column]uint64),
 		codeBase:   make(map[*storage.Dict]uint64),
@@ -244,10 +219,9 @@ func CompileOpts(root plan.Node, mem *rt.Memory, name string, opts Options) (*Qu
 }
 
 type cgen struct {
-	mem  *rt.Memory
-	mod  *ir.Module
-	q    *Query
-	opts Options
+	mem *rt.Memory
+	mod *ir.Module
+	q   *Query
 
 	colBase  map[*storage.Column]uint64
 	heapBase map[*storage.Column]uint64
@@ -393,7 +367,7 @@ func (g *cgen) genParam(b *ir.Builder, idx int, t expr.Type) expr.Val {
 // BindParams installs the execution's parameter values into the parameter
 // segment, sized to the slots plus the string bytes, and resolves the
 // scan pipelines' parameter prune conditions from them. It runs before
-// every execution of a parameterized query (CompileOpts allocates a fresh
+// every execution of a parameterized query (Compile allocates a fresh
 // segment per run); the value types must match the plan's descriptors —
 // the fingerprint hashes the descriptors, so a mismatch means the caller
 // bound values the plan was not built for.
@@ -583,15 +557,8 @@ func (g *cgen) newJoinDesc(j *plan.Join) *joinMeta {
 		m.byIdx[idx] = fld
 		off += valWidth(bs[idx].T)
 	}
-	d := JoinDesc{
-		TupleSize: off, StateOff: g.stateOff, NumKeys: len(j.BuildKeys),
-		Filter: g.opts.JoinFilter, StatsLocalOff: -1,
-	}
+	d := JoinDesc{TupleSize: off, StateOff: g.stateOff, NumKeys: len(j.BuildKeys)}
 	g.stateOff += rt.JoinStateBytes
-	if d.Filter && g.opts.FilterStats {
-		d.StatsLocalOff = g.localOff
-		g.localOff += 16
-	}
 	g.q.Joins = append(g.q.Joins, d)
 	m.id = len(g.q.Joins) - 1
 	m.desc = &g.q.Joins[m.id]

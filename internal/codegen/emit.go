@@ -56,9 +56,8 @@ type pgen struct {
 	local *ir.Value
 	cont  *ir.Block
 	// dres resolves dictionary codes of the current schema; nil when the
-	// pipeline source has no dictionary-encoded columns in scope (or
-	// Options.NoDict is set). Ops that change the schema swap it alongside
-	// the value resolver.
+	// pipeline source has no dictionary-encoded columns in scope. Ops that
+	// change the schema swap it alongside the value resolver.
 	dres *dictResolver
 }
 
@@ -272,11 +271,8 @@ func (g *cgen) scanResolver(p *pgen, s *plan.Scan, i *ir.Value) resolver {
 // scanDictResolver builds the dictionary resolver of a table scan: column
 // j resolves to its fresh order-preserving dictionary, and codes load as
 // zero-extended i32 from the dictionary's code vector at the loop
-// induction variable. Returns nil when rewrites are disabled.
+// induction variable.
 func (g *cgen) scanDictResolver(p *pgen, s *plan.Scan, i *ir.Value) *dictResolver {
-	if g.opts.NoDict {
-		return nil
-	}
 	return &dictResolver{
 		dict: func(j int) *storage.Dict {
 			return s.Table.MustCol(s.Cols[j]).Dict()
@@ -475,33 +471,25 @@ func (op *probeOp) apply(p *pgen, res resolver, down func(resolver)) {
 		blk *ir.Block
 	}
 	var entryIn []entryEdge
-	if op.desc.desc.Filter {
-		// Bloom pre-check: test the 16-bit tag word for hash bits 48..51
-		// before touching the bucket array. A filtered-out probe skips the
-		// bucket load and the chain walk entirely — the filter is 8x
-		// denser than the bucket array, so the tag load stays cache-hot
-		// while the dependent random bucket access it replaces does not.
-		// A filtered-out probe enters the walk with a null head and exits
-		// on its first test.
-		fBase := b.Load(ir.I64, b.GEP(p.state, nil, 0, stOff+16))
-		fw := b.ZExt(b.Load(ir.I16, b.GEP(fBase, slot, 2, 0)), ir.I64)
-		tag := b.Shl(b.ConstI64(1), b.And(b.LShr(h, b.ConstI64(48)), b.ConstI64(15)))
-		pass := b.ICmp(ir.Ne, b.And(fw, tag), b.ConstI64(0))
-		hitB := f.NewBlock()
-		missB := f.NewBlock()
-		b.CondBr(pass, hitB, missB)
-		b.SetBlock(hitB)
-		op.bumpStat(p, 0)
-		entryIn = append(entryIn, entryEdge{loadHead(), b.B})
-		b.Br(walk)
-		b.SetBlock(missB)
-		op.bumpStat(p, 8)
-		entryIn = append(entryIn, entryEdge{b.ConstI64(0), b.B})
-		b.Br(walk)
-	} else {
-		entryIn = append(entryIn, entryEdge{loadHead(), b.B})
-		b.Br(walk)
-	}
+	// Bloom pre-check: test the 16-bit tag word for hash bits 48..51
+	// before touching the bucket array. A filtered-out probe skips the
+	// bucket load and the chain walk entirely — the filter is 8x denser
+	// than the bucket array, so the tag load stays cache-hot while the
+	// dependent random bucket access it replaces does not. A filtered-out
+	// probe enters the walk with a null head and exits on its first test.
+	fBase := b.Load(ir.I64, b.GEP(p.state, nil, 0, stOff+16))
+	fw := b.ZExt(b.Load(ir.I16, b.GEP(fBase, slot, 2, 0)), ir.I64)
+	tag := b.Shl(b.ConstI64(1), b.And(b.LShr(h, b.ConstI64(48)), b.ConstI64(15)))
+	pass := b.ICmp(ir.Ne, b.And(fw, tag), b.ConstI64(0))
+	hitB := f.NewBlock()
+	missB := f.NewBlock()
+	b.CondBr(pass, hitB, missB)
+	b.SetBlock(hitB)
+	entryIn = append(entryIn, entryEdge{loadHead(), b.B})
+	b.Br(walk)
+	b.SetBlock(missB)
+	entryIn = append(entryIn, entryEdge{b.ConstI64(0), b.B})
+	b.Br(walk)
 
 	b.SetBlock(walk)
 	e := b.Phi(ir.I64)
@@ -625,15 +613,3 @@ func (op *probeOp) apply(p *pgen, res resolver, down func(resolver)) {
 }
 
 func (op *probeOp) outerCount() bool { return op.join.Kind == plan.OuterCount }
-
-// bumpStat increments the worker-local filter counter at StatsLocalOff+off
-// (0 = hits, 8 = skips) when counters are enabled.
-func (op *probeOp) bumpStat(p *pgen, off int64) {
-	so := op.desc.desc.StatsLocalOff
-	if so < 0 {
-		return
-	}
-	b := p.b
-	addr := b.GEP(p.local, nil, 0, int64(so)+off)
-	b.Store(addr, b.Add(b.Load(ir.I64, addr), b.ConstI64(1)))
-}

@@ -94,8 +94,7 @@ func (pc PruneCond) BlockMayMatchF(min, max float64) bool {
 // (either operand order) becomes a PruneCond — over fixed-width columns,
 // and over dictionary-encoded String columns as a condition on dictionary
 // codes matching the code-valued zone maps. String IN and LIKE conjuncts
-// become code-range conditions too. Options.NoDict disables every string
-// condition. Conjuncts of no usable shape — disjunctions, column-column
+// become code-range conditions too. Conjuncts of no usable shape — disjunctions, column-column
 // comparisons, strings without a dictionary — contribute nothing; the
 // residual predicate still runs in full inside the generated kernel.
 func (g *cgen) extractPrune(s *plan.Scan) []PruneCond {
@@ -112,14 +111,10 @@ func (g *cgen) extractPrune(s *plan.Scan) []PruneCond {
 			return
 		}
 		if pc, ok := sargable(s, e); ok {
-			if pc.Col.Kind != storage.String || !g.opts.NoDict {
-				out = append(out, pc)
-			}
+			out = append(out, pc)
 			return
 		}
-		if !g.opts.NoDict {
-			out = append(out, stringPrune(s, e)...)
-		}
+		out = append(out, stringPrune(s, e)...)
 	}
 	walk(s.Filter)
 	return out

@@ -90,13 +90,11 @@ type VecProject struct{ Exprs []expr.Expr }
 
 // VecProbe is a hash-join probe against the table at StateOff.
 type VecProbe struct {
-	Join          *plan.Join
-	JoinID        int
-	StateOff      int
-	Filter        bool // Bloom filter present at StateOff+16
-	StatsLocalOff int  // worker-local [hits][skips] counters, -1 if disabled
-	NP            int  // probe-side schema width
-	Fields        []VecField
+	Join     *plan.Join
+	JoinID   int
+	StateOff int // Bloom filter at StateOff+16
+	NP       int // probe-side schema width
+	Fields   []VecField
 }
 
 // VecField is one stored build-side column of a join tuple.
@@ -150,7 +148,7 @@ func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
 	// dicts tracks, per column of the current schema, the dictionary codegen
 	// would see through its dictResolver chain — the aggSink hash rewrite is
 	// the one dictionary decision that changes shared state, so it must be
-	// replayed from identical inputs. nil when NoDict disables rewrites.
+	// replayed from identical inputs.
 	var dicts []*storage.Dict
 	if scan != nil {
 		vs := &VecScan{Table: scan.Table}
@@ -163,11 +161,9 @@ func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
 			vs.Cols = append(vs.Cols, vc)
 		}
 		sp.Scan = vs
-		if !g.opts.NoDict {
-			dicts = make([]*storage.Dict, len(scan.Cols))
-			for j, name := range scan.Cols {
-				dicts[j] = scan.Table.MustCol(name).Dict()
-			}
+		dicts = make([]*storage.Dict, len(scan.Cols))
+		for j, name := range scan.Cols {
+			dicts[j] = scan.Table.MustCol(name).Dict()
 		}
 	} else {
 		desc := &g.q.Aggs[am.id]
@@ -197,10 +193,8 @@ func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
 			np := len(j.Probe.Schema())
 			vp := &VecProbe{
 				Join: j, JoinID: x.desc.id,
-				StateOff:      x.desc.desc.StateOff,
-				Filter:        x.desc.desc.Filter,
-				StatsLocalOff: x.desc.desc.StatsLocalOff,
-				NP:            np,
+				StateOff: x.desc.desc.StateOff,
+				NP:       np,
 			}
 			for _, f := range x.desc.fields {
 				vp.Fields = append(vp.Fields, VecField{SrcIdx: f.srcIdx, Off: f.off, T: f.t})

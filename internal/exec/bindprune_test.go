@@ -351,7 +351,7 @@ func TestSegmentSizingEdges(t *testing.T) {
 		t.Fatal("long-literal query matched nothing; the check is vacuous")
 	}
 	for _, m := range []Mode{ModeBytecode, ModeOptimized, ModeVector, ModeAdaptive} {
-		res, err := New(Options{Workers: 2, Mode: m, Cost: Native(), MorselSize: 64}).RunPlan(longLits(), "lits")
+		res, err := New(Options{Workers: 2, Mode: m, Cost: Native(), MorselSize: 64, CacheBytes: -1}).RunPlan(longLits(), "lits")
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -360,7 +360,7 @@ func TestSegmentSizingEdges(t *testing.T) {
 		}
 	}
 
-	e := New(Options{Workers: 1, Mode: ModeBytecode})
+	e := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1})
 	twoStr := func() plan.Node {
 		s := plan.NewScan(tbl, "s", "u")
 		sch := s.Schema()

@@ -24,7 +24,7 @@ func TestConcurrentDifferential(t *testing.T) {
 
 	// Serial reference: one query at a time on a plain bytecode engine.
 	want := make(map[int]string)
-	ref := New(Options{Workers: 1, Mode: ModeBytecode})
+	ref := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1})
 	for qn := 1; qn <= inFlight; qn++ {
 		res, err := ref.Run(tpch.Query(cat, qn))
 		if err != nil {
@@ -68,7 +68,7 @@ func TestConcurrentDifferential(t *testing.T) {
 func TestCancelLandsWithinOneMorsel(t *testing.T) {
 	mk := func() *Engine {
 		return New(Options{Workers: 1, PoolWorkers: 1, Mode: ModeBytecode,
-			MorselSize: 256, MorselCap: 256, MorselGrowEvery: 1 << 20})
+			MorselSize: 256, MorselCap: 256, MorselGrowEvery: 1 << 20, CacheBytes: -1})
 	}
 
 	// Control: count the morsels of an uncancelled run.
@@ -120,7 +120,7 @@ func TestCancelLandsWithinOneMorsel(t *testing.T) {
 // TestDeadlineCancels asserts a context deadline terminates a query with
 // DeadlineExceeded through the same preemption path.
 func TestDeadlineCancels(t *testing.T) {
-	e := New(Options{Workers: 2, PoolWorkers: 2, Mode: ModeBytecode, MorselSize: 64})
+	e := New(Options{Workers: 2, PoolWorkers: 2, Mode: ModeBytecode, MorselSize: 64, CacheBytes: -1})
 	// A deadline that has surely expired by the first preemption check.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancel()
@@ -142,7 +142,7 @@ func TestDeadlineCancels(t *testing.T) {
 // visibly queued.
 func TestQueuedStats(t *testing.T) {
 	e := New(Options{Workers: 1, PoolWorkers: 1, MaxConcurrent: 1,
-		Mode: ModeBytecode, MorselSize: 256})
+		Mode: ModeBytecode, MorselSize: 256, CacheBytes: -1})
 	var once sync.Once
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -199,7 +199,7 @@ func TestCancellationSoak(t *testing.T) {
 
 	// References from a fresh serial engine.
 	want := make(map[int]string)
-	ref := New(Options{Workers: 1, Mode: ModeBytecode})
+	ref := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1})
 	for _, qn := range qns {
 		res, err := ref.Run(tpch.Query(cat, qn))
 		if err != nil {

@@ -54,7 +54,7 @@ func TestPaperModelCalibration(t *testing.T) {
 // TestExtrapolationChoosesStay verifies the Fig. 7 decision at the
 // boundary: with almost no work left, compiling never pays off.
 func TestExtrapolationChoosesStay(t *testing.T) {
-	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: Paper()})
+	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: Paper(), CacheBytes: -1})
 	// Replicate the controller arithmetic directly.
 	m := e.opts.Cost
 	r0 := 1e6 // tuples/sec in bytecode

@@ -86,9 +86,8 @@ func randStrPredSimple(rng *rand.Rand, sch []plan.ColDef, col, stem string) expr
 }
 
 // TestDictPredicateProperty is the dictionary oracle: random string
-// predicates over dictionary-encoded and raw columns, executed with
-// dictionaries on and off across tiers, must match the Volcano
-// interpreter row for row.
+// predicates over dictionary-encoded and raw columns, executed across
+// tiers, must match the Volcano interpreter row for row.
 func TestDictPredicateProperty(t *testing.T) {
 	const rows = 4000
 	tables := map[string]*storage.Table{
@@ -96,10 +95,9 @@ func TestDictPredicateProperty(t *testing.T) {
 		"raw":  mkStrTable(rows, false),
 	}
 	engines := map[string]*Engine{
-		"dict-opt":   New(Options{Workers: 4, Mode: ModeOptimized, Cost: Native()}),
-		"dict-bc":    New(Options{Workers: 2, Mode: ModeBytecode}),
-		"nodict-opt": New(Options{Workers: 4, Mode: ModeOptimized, Cost: Native(), NoDict: true}),
-		"irinterp":   New(Options{Workers: 2, Mode: ModeIRInterp}),
+		"dict-opt": New(Options{Workers: 4, Mode: ModeOptimized, Cost: Native(), CacheBytes: -1}),
+		"dict-bc":  New(Options{Workers: 2, Mode: ModeBytecode, CacheBytes: -1}),
+		"irinterp": New(Options{Workers: 2, Mode: ModeIRInterp, CacheBytes: -1}),
 	}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -161,38 +159,36 @@ func TestDictPredicateProperty(t *testing.T) {
 }
 
 // TestDictFingerprintDistinct: the dictionary rewrite changes the emitted
-// IR, so the same plan compiled with and without dictionaries must carry
-// different plan fingerprints — a cached raw artifact can never serve a
-// dictionary execution or vice versa.
+// IR, so the same plan over a dictionary-encoded and a raw copy of the
+// same data must carry different plan fingerprints — a cached raw
+// artifact can never serve a dictionary execution or vice versa.
 func TestDictFingerprintDistinct(t *testing.T) {
-	tb := mkStrTable(500, true)
-	build := func() plan.Node {
+	fp := func(withDict bool) Fingerprint {
+		tb := mkStrTable(500, withDict)
 		sc := plan.NewScan(tb, "s", "v")
 		sch := sc.Schema()
 		sc.Where(expr.Eq(plan.C(sch, "s"), expr.Str("item-010")))
-		return plan.NewGroupBy(sc, []expr.Expr{plan.C(sch, "s")}, []string{"s"},
+		node := plan.NewGroupBy(sc, []expr.Expr{plan.C(sch, "s")}, []string{"s"},
 			[]plan.AggExpr{{Func: plan.Sum, Arg: plan.C(sch, "v"), Name: "sv"}})
-	}
-	fp := func(noDict bool) Fingerprint {
-		cq, err := codegen.CompileOpts(build(), rt.NewMemory(), "fp",
-			codegen.Options{JoinFilter: true, NoDict: noDict})
+		cq, err := codegen.Compile(node, rt.NewMemory(), "fp")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fingerprintOf(cq, vm.Options{}, false, false, false)
+		return fingerprintOf(cq, vm.Options{})
 	}
 	if fp(false) == fp(true) {
 		t.Fatal("dict and raw compilations share a fingerprint")
 	}
 }
 
-// TestDictCacheDistinct: engines with dictionaries on and off each warm-hit
-// their own compilation cache on re-execution, return identical results,
-// and report distinct fingerprints.
+// TestDictCacheDistinct: the same query over a dictionary-encoded and a
+// raw copy of the same data warm-hits the compilation cache on
+// re-execution, returns identical results, and reports distinct
+// fingerprints.
 func TestDictCacheDistinct(t *testing.T) {
-	tb := mkStrTable(2000, true)
-	build := func() plan.Node {
-		sc := plan.NewScan(tb, "s", "u", "v")
+	tables := map[bool]*storage.Table{true: mkStrTable(2000, true), false: mkStrTable(2000, false)}
+	build := func(withDict bool) plan.Node {
+		sc := plan.NewScan(tables[withDict], "s", "u", "v")
 		sch := sc.Schema()
 		sc.Where(expr.And(
 			expr.Ge(plan.C(sch, "s"), expr.Str("item-010")),
@@ -202,25 +198,28 @@ func TestDictCacheDistinct(t *testing.T) {
 	}
 	sums := map[bool]string{}
 	fps := map[bool]string{}
-	for _, noDict := range []bool{false, true} {
-		e := New(Options{Workers: 2, Mode: ModeOptimized, Cost: Native(),
-			CacheBytes: 64 << 20, NoDict: noDict})
-		cold, err := e.RunPlan(build(), "dictcache")
+	e := New(Options{Workers: 2, Mode: ModeOptimized, Cost: Native(),
+		CacheBytes: 64 << 20})
+	for _, withDict := range []bool{true, false} {
+		cold, err := e.RunPlan(build(withDict), "dictcache")
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := e.RunPlan(build(), "dictcache")
+		warm, err := e.RunPlan(build(withDict), "dictcache")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cold.Stats.CacheHit {
+			t.Errorf("withDict=%v: cold run hit the cache", withDict)
 		}
 		if !warm.Stats.CacheHit {
-			t.Errorf("noDict=%v: warm run missed the cache", noDict)
+			t.Errorf("withDict=%v: warm run missed the cache", withDict)
 		}
 		if checksum(cold) != checksum(warm) {
-			t.Errorf("noDict=%v: warm checksum diverged", noDict)
+			t.Errorf("withDict=%v: warm checksum diverged", withDict)
 		}
-		sums[noDict] = checksum(cold)
-		fps[noDict] = cold.Stats.Fingerprint
+		sums[withDict] = checksum(cold)
+		fps[withDict] = cold.Stats.Fingerprint
 	}
 	if sums[false] != sums[true] {
 		t.Error("dict on/off results differ")
@@ -232,19 +231,18 @@ func TestDictCacheDistinct(t *testing.T) {
 
 // TestDictStatsAndTrace: the counters and the trace event. A range
 // predicate on the clustered column must rewrite to codes, prune string
-// blocks, and emit EvDictRewrite; with NoDict everything stays zero and
-// the result is unchanged.
+// blocks, and emit EvDictRewrite; over a raw copy of the same data
+// everything stays zero and the result is unchanged.
 func TestDictStatsAndTrace(t *testing.T) {
-	tb := mkStrTable(8000, true)
-	build := func() plan.Node {
+	build := func(tb *storage.Table) plan.Node {
 		sc := plan.NewScan(tb, "s", "v")
 		sch := sc.Schema()
 		sc.Where(expr.Lt(plan.C(sch, "s"), expr.Str("item-010")))
 		return plan.NewGroupBy(sc, []expr.Expr{plan.C(sch, "s")}, []string{"s"},
 			[]plan.AggExpr{{Func: plan.Sum, Arg: plan.C(sch, "v"), Name: "sv"}})
 	}
-	e := New(Options{Workers: 2, Mode: ModeOptimized, Cost: Native(), Trace: true})
-	res, err := e.RunPlan(build(), "dictstats")
+	e := New(Options{Workers: 2, Mode: ModeOptimized, Cost: Native(), Trace: true, CacheBytes: -1})
+	res, err := e.RunPlan(build(mkStrTable(8000, true)), "dictstats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +263,12 @@ func TestDictStatsAndTrace(t *testing.T) {
 		t.Error("no EvDictRewrite trace event")
 	}
 
-	nd := New(Options{Workers: 2, Mode: ModeOptimized, Cost: Native(), NoDict: true})
-	raw, err := nd.RunPlan(build(), "dictstats")
+	raw, err := e.RunPlan(build(mkStrTable(8000, false)), "dictstats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if raw.Stats.DictRewrites != 0 || raw.Stats.StringBlocksPruned != 0 {
-		t.Errorf("NoDict run reported dictionary work: %+v", raw.Stats)
+		t.Errorf("raw-string run reported dictionary work: %+v", raw.Stats)
 	}
 	if checksum(res) != checksum(raw) {
 		t.Error("dict on/off results differ")

@@ -74,46 +74,21 @@ func TestCrossTierDifferential22(t *testing.T) {
 	}
 }
 
-// TestBreakerConfigDifferential22 runs all 22 TPC-H queries under every
-// pipeline-breaker configuration — parallel vs serial finalize, Bloom
-// filters on vs off vs counting — and asserts the result checksums never
-// move. The filter changes the emitted probe IR and the parallel finalize
-// changes the merge schedule, so this pins down that neither affects
-// results in any tier.
+// TestBreakerConfigDifferential22 runs all 22 TPC-H queries with
+// Bloom-filtered probes and partitioned parallel breaker finalization in
+// the bytecode, optimized and native tiers and asserts the result
+// checksums never move: the filter is emitted into every tier's probe
+// code and the finalize partitions the merge schedule, so this pins down
+// that neither affects results in any tier.
 func TestBreakerConfigDifferential22(t *testing.T) {
 	cat := diffCat()
 	configs := []struct {
 		name string
 		opts Options
 	}{
-		{"baseline", Options{Workers: 4, Mode: ModeOptimized, Cost: Native()}},
-		{"serial-finalize", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(),
-			SerialFinalize: true}},
-		{"no-filter", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(),
-			NoJoinFilter: true}},
-		{"serial-no-filter", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(),
-			SerialFinalize: true, NoJoinFilter: true}},
-		{"filter-stats", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(),
-			FilterStats: true}},
-		{"bytecode-filter", Options{Workers: 4, Mode: ModeBytecode}},
-		{"no-dict", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(),
-			NoDict: true}},
-		{"no-dict-bytecode", Options{Workers: 4, Mode: ModeBytecode, NoDict: true}},
-		{"no-dict-no-zonemaps", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(),
-			NoDict: true, NoZoneMaps: true}},
-		{"native", Options{Workers: 4, Mode: ModeNative, Cost: Native()}},
-		{"native-serial-no-filter", Options{Workers: 4, Mode: ModeNative, Cost: Native(),
-			SerialFinalize: true, NoJoinFilter: true}},
-		{"native-disabled", Options{Workers: 4, Mode: ModeNative, Cost: Native(),
-			NoNative: true}},
-		{"native-noregalloc", Options{Workers: 4, Mode: ModeNative, Cost: Native(),
-			NoRegAlloc: true}},
-		{"native-noregalloc-serial", Options{Workers: 4, Mode: ModeNative, Cost: Native(),
-			NoRegAlloc: true, SerialFinalize: true, NoJoinFilter: true}},
-		{"adaptive-no-native", Options{Workers: 4, Mode: ModeAdaptive, Cost: Native(),
-			NoNative: true, MorselSize: 512, CacheBytes: 64 << 20}},
-		{"adaptive-noregalloc", Options{Workers: 4, Mode: ModeAdaptive, Cost: Native(),
-			NoRegAlloc: true, MorselSize: 512, CacheBytes: 64 << 20}},
+		{"baseline", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(), CacheBytes: -1}},
+		{"bytecode-filter", Options{Workers: 4, Mode: ModeBytecode, CacheBytes: -1}},
+		{"native", Options{Workers: 4, Mode: ModeNative, Cost: Native(), CacheBytes: -1}},
 	}
 	want := make(map[int]string)
 	for _, cfg := range configs {

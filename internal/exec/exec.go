@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"aqe/internal/codegen"
@@ -28,25 +29,38 @@ import (
 type Mode int
 
 // Execution modes (§V compares the three static modes against adaptive).
-// ModeIRInterp directly interprets the SSA graph — the paper's "LLVM IR"
-// interpreter baseline of Fig. 2, far slower than the bytecode VM.
-// ModeNative statically pins every pipeline to the copy-and-patch
+// ModeAdaptive, the zero Mode, starts every pipeline in the bytecode
+// interpreter and lets the controller pick its tier from measured
+// progress. ModeIRInterp directly interprets the SSA graph — the paper's
+// "LLVM IR" interpreter baseline of Fig. 2, far slower than the bytecode
+// VM. ModeNative statically pins every pipeline to the copy-and-patch
 // machine-code tier (falling back per-pipeline to optimized closures when
 // the platform or a function is unsupported). ModeVector statically pins
 // every pipeline to the morsel-driven vectorized engine (falling back
 // per-pipeline to optimized closures when a pipeline has no vector plan).
 const (
-	ModeBytecode Mode = iota
+	ModeAdaptive Mode = iota
+	ModeBytecode
 	ModeUnoptimized
 	ModeOptimized
-	ModeAdaptive
 	ModeIRInterp
 	ModeNative
 	ModeVector
+	numModes
 )
 
-func (m Mode) String() string {
-	return [...]string{"bytecode", "unoptimized", "optimized", "adaptive", "ir-interp", "native", "vector"}[m]
+var modeNames = [numModes]string{"adaptive", "bytecode", "unoptimized", "optimized", "ir-interp", "native", "vector"}
+
+func (m Mode) String() string { return modeNames[m] }
+
+// ParseMode is the inverse of Mode.String.
+func ParseMode(s string) (Mode, error) {
+	for m, name := range modeNames {
+		if name == s {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want one of %s)", s, strings.Join(modeNames[:], "|"))
 }
 
 // Options configures an Engine.
@@ -74,9 +88,10 @@ type Options struct {
 	// (default 1 per tenant): under contention a tenant's morsels receive
 	// workers in proportion to its weight.
 	TenantWeights map[string]int
-	// Mode is the execution mode (default ModeAdaptive).
+	// Mode is the execution mode (the zero value is ModeAdaptive).
 	Mode Mode
-	// Cost is the compile-cost model (default Paper()).
+	// Cost is the compile-cost model (default Native(); Paper() imposes
+	// the paper's LLVM compile latencies).
 	Cost *CostModel
 	// Trace enables per-morsel trace recording.
 	Trace bool
@@ -85,54 +100,25 @@ type Options struct {
 	VM vm.Options
 	// MorselSize overrides the initial morsel size (default 2048).
 	MorselSize int64
-	// MorselCap bounds the grown morsel size (default 65536 tuples).
+	// MorselCap bounds the grown morsel size (default 65536 tuples). A
+	// morsel is the unit of preemption: under concurrent load no query
+	// waits for the pool longer than one in-flight morsel, so a service
+	// tuned for tail latency lowers the cap.
 	MorselCap int64
 	// MorselGrowEvery is the claim cadence of geometric morsel growth:
 	// the morsel size doubles every MorselGrowEvery claims until it
 	// reaches MorselCap (default 8).
 	MorselGrowEvery int64
-	// NoZoneMaps disables zone-map morsel pruning: every scan dispatches
-	// all blocks even when per-block min/max statistics prove the scan's
-	// sargable predicate rejects them.
-	NoZoneMaps bool
 	// CacheBytes is the byte budget of the plan-fingerprint compilation
-	// cache; 0 disables caching (every query translates and compiles from
-	// scratch, the paper's experiment setup).
+	// cache that lets repeated queries skip translation and start in the
+	// best previously compiled tier. 0 selects the default (64 MiB); a
+	// negative value disables caching (every query translates and
+	// compiles from scratch, the paper's experiment setup).
 	CacheBytes int64
 	// CompileWorkers bounds concurrent background compilations across all
 	// queries on this engine (default 2). The adaptive controller submits
 	// to this shared pool instead of spawning per-query goroutines.
 	CompileWorkers int
-	// SerialFinalize forces the retained single-threaded pipeline-breaker
-	// path (join build linking, aggregation merge) instead of hash-range
-	// partitioned parallel finalization.
-	SerialFinalize bool
-	// NoJoinFilter disables the Bloom-filter check in generated join
-	// probes (the filter is emitted by default).
-	NoJoinFilter bool
-	// NoDict disables dictionary-code rewrites of string predicates,
-	// code-based group hashing, and string zone-map pruning; queries run
-	// against the raw string columns (results are bit-identical).
-	NoDict bool
-	// NoNative removes the native machine-code tier from the adaptive
-	// controller's choices (and makes ModeNative fall back to optimized
-	// closures). Cached plans carry the flag in their fingerprint so a
-	// NoNative run never reuses natively-warmed entries ambiguously.
-	NoNative bool
-	// NoVector removes the vectorized engine from the adaptive
-	// controller's choices (and makes ModeVector fall back to optimized
-	// closures). Cached plans carry the flag in their fingerprint so a
-	// NoVector run never reuses vector-warmed entries ambiguously.
-	NoVector bool
-	// NoRegAlloc forces the native tier's slot-per-op template backend
-	// instead of the register-allocating one (jit.Options.NoRegAlloc) —
-	// the ablation baseline for the allocator. Fingerprints carry the
-	// flag so cached native code is never shared across the two backends.
-	NoRegAlloc bool
-	// FilterStats maintains per-worker filter hit/skip counters in
-	// generated probes and reports them in Stats. Off by default: the
-	// counters cost two extra memory operations per probe.
-	FilterStats bool
 	// ReplanThreshold is the misestimate factor max(est/obs, obs/est) of
 	// an observed build-side cardinality past which a query running with
 	// a Replanner reoptimizes its join order mid-flight (default 8).
@@ -150,7 +136,7 @@ type Options struct {
 type Engine struct {
 	opts  Options
 	reg   *rt.Registry
-	cache *planCache       // nil when CacheBytes == 0
+	cache *planCache       // nil when CacheBytes < 0
 	pool  *compilePool     // shared background compile service
 	sched *sched.Scheduler // admission gate + shared morsel worker pool
 
@@ -166,7 +152,10 @@ func New(opts Options) *Engine {
 		opts.Workers = 4
 	}
 	if opts.Cost == nil {
-		opts.Cost = Paper()
+		opts.Cost = Native()
+	}
+	if opts.CacheBytes == 0 {
+		opts.CacheBytes = 64 << 20
 	}
 	if opts.MorselSize <= 0 {
 		opts.MorselSize = 2048
@@ -251,10 +240,8 @@ type Stats struct {
 	// Replans counts mid-query restarts on a reoptimized join order;
 	// EstCardErr is the worst misestimate factor max(est/obs, obs/est)
 	// observed at any join-build breaker (0 = no estimated joins ran).
-	Replans     int
-	EstCardErr  float64
-	FilterHits  int64 // probes whose Bloom filter passed (FilterStats)
-	FilterSkips int64 // probes whose chain walk was skipped (FilterStats)
+	Replans    int
+	EstCardErr float64
 
 	// Native-tier counters: assemblies that produced machine code,
 	// morsels dispatched to native code, and per-pipeline fallbacks to a
@@ -498,19 +485,14 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 	// Pipelines, Fingerprint) describe the attempt that completed.
 	var qr *queryRun
 	var cq *codegen.Query
-	var mem *rt.Memory
 	var rows [][]expr.Datum
 	for {
 		if err := ctx.Err(); err != nil {
 			return cancelled(context.Cause(ctx))
 		}
 		tCg := time.Now()
-		mem = rt.NewMemory()
-		cq, err = codegen.CompileOpts(node, mem, name, codegen.Options{
-			JoinFilter:  !e.opts.NoJoinFilter,
-			FilterStats: e.opts.FilterStats && !e.opts.NoJoinFilter,
-			NoDict:      e.opts.NoDict,
-		})
+		mem := rt.NewMemory()
+		cq, err = codegen.Compile(node, mem, name)
 		if err != nil {
 			return nil, err
 		}
@@ -569,17 +551,6 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		}
 		return nil, err
 	}
-	for _, jd := range cq.Joins {
-		if jd.StatsLocalOff < 0 {
-			continue
-		}
-		for w := 0; w < e.opts.Workers; w++ {
-			base := qr.qs.Locals[w] + rt.Addr(jd.StatsLocalOff)
-			st.FilterHits += int64(mem.Load64(base))
-			st.FilterSkips += int64(mem.Load64(base + 8))
-		}
-	}
-
 	// Sort / limit on the decoded rows. ORDER BY + LIMIT keeps only the
 	// top k through a bounded heap instead of a full sort.
 	if len(cq.SortKeys) > 0 {

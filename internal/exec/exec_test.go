@@ -55,13 +55,13 @@ func mkCust(n int, rng *rand.Rand) *storage.Table {
 func testEngines() map[string]*Engine {
 	native := Native()
 	return map[string]*Engine{
-		"bytecode-w1": New(Options{Workers: 1, Mode: ModeBytecode}),
-		"bytecode-w3": New(Options{Workers: 3, Mode: ModeBytecode}),
-		"unopt-w2":    New(Options{Workers: 2, Mode: ModeUnoptimized, Cost: native}),
-		"opt-w2":      New(Options{Workers: 2, Mode: ModeOptimized, Cost: native}),
-		"adaptive-w3": New(Options{Workers: 3, Mode: ModeAdaptive, Cost: native, MorselSize: 64}),
+		"bytecode-w1": New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1}),
+		"bytecode-w3": New(Options{Workers: 3, Mode: ModeBytecode, CacheBytes: -1}),
+		"unopt-w2":    New(Options{Workers: 2, Mode: ModeUnoptimized, Cost: native, CacheBytes: -1}),
+		"opt-w2":      New(Options{Workers: 2, Mode: ModeOptimized, Cost: native, CacheBytes: -1}),
+		"adaptive-w3": New(Options{Workers: 3, Mode: ModeAdaptive, Cost: native, MorselSize: 64, CacheBytes: -1}),
 		"nofusion-w1": New(Options{Workers: 1, Mode: ModeBytecode,
-			VM: vm.Options{NoFusion: true, Strategy: vm.Window, WindowSize: 3}}),
+			VM: vm.Options{NoFusion: true, Strategy: vm.Window, WindowSize: 3}, CacheBytes: -1}),
 	}
 }
 
@@ -287,7 +287,7 @@ func TestOrderByLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Workers: 2, Mode: ModeBytecode})
+	e := New(Options{Workers: 2, Mode: ModeBytecode, CacheBytes: -1})
 	res, err := e.RunPlan(build(), "orderby")
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestOverflowPropagates(t *testing.T) {
 		t.Fatal("volcano: expected overflow")
 	}
 	for _, mode := range []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized} {
-		e := New(Options{Workers: 2, Mode: mode, Cost: Native()})
+		e := New(Options{Workers: 2, Mode: mode, Cost: Native(), CacheBytes: -1})
 		if _, err := e.RunPlan(build(), "overflow"); err == nil {
 			t.Errorf("%v: expected overflow error", mode)
 		} else if trap, ok := err.(*rt.Trap); !ok || trap.Code != rt.TrapOverflow {
@@ -371,7 +371,7 @@ func TestMultiStageQuery(t *testing.T) {
 			return s
 		}},
 	}}
-	e := New(Options{Workers: 2, Mode: ModeBytecode})
+	e := New(Options{Workers: 2, Mode: ModeBytecode, CacheBytes: -1})
 	res, err := e.Run(q)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestAdaptiveCompiles(t *testing.T) {
 	cost := Native()
 	cost.UnoptBase, cost.UnoptPerInstr = 0, 0
 	cost.OptBase, cost.OptPerInstr = 0, 0
-	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, MorselSize: 256})
+	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, MorselSize: 256, CacheBytes: -1})
 	s := plan.NewScan(ordersT, "o_total")
 	g := plan.NewGroupBy(s, nil, nil, []plan.AggExpr{
 		{Func: plan.Sum, Arg: plan.C(s.Schema(), "o_total"), Name: "s"},
@@ -422,7 +422,7 @@ func TestAdaptiveCompiles(t *testing.T) {
 }
 
 func TestStatsAndTrace(t *testing.T) {
-	e := New(Options{Workers: 2, Mode: ModeBytecode, Trace: true})
+	e := New(Options{Workers: 2, Mode: ModeBytecode, Trace: true, CacheBytes: -1})
 	s := plan.NewScan(ordersT, "o_total")
 	g := plan.NewGroupBy(s, nil, nil, []plan.AggExpr{
 		{Func: plan.CountStar, Name: "n"},
@@ -455,5 +455,21 @@ func TestStatsAndTrace(t *testing.T) {
 	}
 	if res.Stats.RegFileBytes == 0 {
 		t.Error("register file size not recorded")
+	}
+}
+
+// TestParseModeRoundTrip: ParseMode inverts Mode.String for every mode and
+// rejects anything else.
+func TestParseModeRoundTrip(t *testing.T) {
+	for m := Mode(0); m < numModes; m++ {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "nonsense", "Bytecode", "interp"} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Errorf("ParseMode(%q) accepted an unknown mode", bad)
+		}
 	}
 }

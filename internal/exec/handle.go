@@ -66,7 +66,7 @@ type Handle struct {
 	nativeFailed atomic.Bool
 
 	// vec is the pre-staged vectorized kernel of this pipeline (nil when
-	// the pipeline has no vector plan or NoVector is set). Installing it is
+	// the pipeline has no vector plan). Installing it is
 	// a level flip; the compiled variant stays on the handle so demotion
 	// out of the vectorized engine is a level flip back.
 	vec       atomic.Pointer[vector.Kernel]

@@ -23,7 +23,7 @@ func TestJoinOrderInvariance(t *testing.T) {
 	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp}
 	want := make(map[int]string)
 	for _, mode := range modes {
-		e := New(Options{Workers: 4, Mode: mode, Cost: Native(), MorselSize: 512})
+		e := New(Options{Workers: 4, Mode: mode, Cost: Native(), MorselSize: 512, CacheBytes: -1})
 		for _, qn := range joinOrderQueries {
 			hand, err := e.RunPlan(tpch.Query(cat, qn).Stages[0].Build(nil), "hand")
 			if err != nil {
@@ -82,7 +82,7 @@ func TestJoinOrderInvarianceForcedReplan(t *testing.T) {
 	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp}
 	want := make(map[int]string)
 	for _, qn := range joinOrderQueries {
-		base := New(Options{Workers: 4, Mode: ModeBytecode, Cost: Native(), MorselSize: 512})
+		base := New(Options{Workers: 4, Mode: ModeBytecode, Cost: Native(), MorselSize: 512, CacheBytes: -1})
 		res, err := base.RunPlan(tpch.Query(cat, qn).Stages[0].Build(nil), "hand")
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +91,7 @@ func TestJoinOrderInvarianceForcedReplan(t *testing.T) {
 	}
 	for _, mode := range modes {
 		e := New(Options{Workers: 4, Mode: mode, Cost: Native(), MorselSize: 512,
-			ReplanThreshold: 0.5, MaxReplans: 4})
+			ReplanThreshold: 0.5, MaxReplans: 4, CacheBytes: -1})
 		for _, qn := range joinOrderQueries {
 			lg, _ := tpch.Logical(cat, qn)
 			prep, err := opt.Order(lg)
@@ -138,7 +138,7 @@ func TestMisestimateReplans(t *testing.T) {
 	if len(names) != 3 || names[1] != "mdima" {
 		t.Fatalf("initial order %v: expected the misestimated mdima built first", names)
 	}
-	e := New(Options{Workers: 4, Mode: ModeOptimized, Cost: Native(), MorselSize: 512})
+	e := New(Options{Workers: 4, Mode: ModeOptimized, Cost: Native(), MorselSize: 512, CacheBytes: -1})
 	res, err := e.RunPlanReplan(context.Background(), prep.Root, "misestimate", prep)
 	if err != nil {
 		t.Fatal(err)

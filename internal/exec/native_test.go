@@ -13,13 +13,13 @@ import (
 // execute native code; elsewhere every pipeline silently degrades to the
 // optimized closure tier. Results must match bytecode either way.
 func TestNativeStaticMode(t *testing.T) {
-	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
+	ref, err := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1}).RunPlan(stressPlan(), "ref")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint(canon(ref.Rows, ref.Types))
 
-	e := New(Options{Workers: 2, Mode: ModeNative, Cost: Native()})
+	e := New(Options{Workers: 2, Mode: ModeNative, Cost: Native(), CacheBytes: -1})
 	res, err := e.RunPlan(stressPlan(), "native")
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestNativeStaticMode(t *testing.T) {
 // ModeNative query must complete silently in the closure tier with the
 // fallback counter raised and no morsel ever executing native code.
 func TestNativeGracefulDegradation(t *testing.T) {
-	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
+	ref, err := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1}).RunPlan(stressPlan(), "ref")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestNativeGracefulDegradation(t *testing.T) {
 
 	asm.SetAllocFailure(true)
 	defer asm.SetAllocFailure(false)
-	e := New(Options{Workers: 2, Mode: ModeNative, Cost: Native()})
+	e := New(Options{Workers: 2, Mode: ModeNative, Cost: Native(), CacheBytes: -1})
 	res, err := e.RunPlan(stressPlan(), "degraded")
 	if err != nil {
 		t.Fatalf("ModeNative did not degrade gracefully: %v", err)
@@ -85,7 +85,7 @@ func TestNativeAdaptiveDegradation(t *testing.T) {
 	if !asm.Supported() {
 		t.Skip("no native backend; the controller never proposes tier 6 here")
 	}
-	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
+	ref, err := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1}).RunPlan(stressPlan(), "ref")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestNativeAdaptiveDegradation(t *testing.T) {
 	cost := Native()
 	cost.UnoptBase, cost.UnoptPerInstr, cost.OptBase, cost.OptPerInstr = 0, 0, 0, 0
 	cost.NativeBase, cost.NativePerInstr = 0, 0
-	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, MorselSize: 32})
+	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, MorselSize: 32, CacheBytes: -1})
 	// The fallback ticks on a compile-pool worker; slow the morsel stream
 	// down a little so the pipeline is still draining when the failed
 	// assembly reports back, and retry in case it loses the race anyway.
@@ -126,65 +126,6 @@ func TestNativeAdaptiveDegradation(t *testing.T) {
 	t.Errorf("controller compiled %d times but never recorded a native fallback", compiled)
 }
 
-// TestNoNativeDistinctFingerprint: disabling the native tier changes the
-// plan fingerprint, so NoNative runs never share cache entries (and thus
-// never receive assembled code) with native-enabled runs.
-func TestNoNativeDistinctFingerprint(t *testing.T) {
-	a, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{Workers: 1, Mode: ModeBytecode, NoNative: true}).RunPlan(stressPlan(), "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats.Fingerprint == b.Stats.Fingerprint {
-		t.Errorf("NoNative shares fingerprint %s with the default configuration",
-			a.Stats.Fingerprint)
-	}
-}
-
-// TestNoRegAllocDistinctFingerprint: the slot-per-op escape hatch changes
-// the plan fingerprint, so the two native backends never share cached
-// machine code.
-func TestNoRegAllocDistinctFingerprint(t *testing.T) {
-	a, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{Workers: 1, Mode: ModeBytecode, NoRegAlloc: true}).RunPlan(stressPlan(), "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats.Fingerprint == b.Stats.Fingerprint {
-		t.Errorf("NoRegAlloc shares fingerprint %s with the default configuration",
-			a.Stats.Fingerprint)
-	}
-}
-
-// TestNativeNoRegAllocMode runs ModeNative with the slot-per-op backend
-// forced and checks it still assembles and executes machine code with
-// results matching bytecode.
-func TestNativeNoRegAllocMode(t *testing.T) {
-	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprint(canon(ref.Rows, ref.Types))
-
-	e := New(Options{Workers: 2, Mode: ModeNative, Cost: Native(), NoRegAlloc: true})
-	res, err := e.RunPlan(stressPlan(), "native-noregalloc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(canon(res.Rows, res.Types)); got != want {
-		t.Error("slot-per-op native result diverged from bytecode")
-	}
-	if asm.Supported() && res.Stats.NativeMorsels == 0 {
-		t.Errorf("no morsels executed natively: %+v", res.Stats)
-	}
-}
-
 // TestNativeDemotion: the controller must demote a pipeline out of native
 // code when its measured morsel rate falls far short of what the cost
 // model predicted at promotion time. An absurd SpeedupNative makes any
@@ -195,7 +136,7 @@ func TestNativeDemotion(t *testing.T) {
 	if !asm.Supported() {
 		t.Skip("no native backend; the controller never proposes tier 6 here")
 	}
-	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
+	ref, err := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1}).RunPlan(stressPlan(), "ref")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +149,7 @@ func TestNativeDemotion(t *testing.T) {
 	// measured rate lands below demoteMargin of the prediction as soon as
 	// the warmup evaluations pass.
 	cost.SpeedupNative = 1e9
-	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, MorselSize: 32, Trace: true})
+	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, MorselSize: 32, Trace: true, CacheBytes: -1})
 	// Slow the morsel stream slightly so pipelines are still draining when
 	// the background install + warmup evaluations complete; retry in case
 	// a short pipeline still wins the race.

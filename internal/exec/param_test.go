@@ -144,7 +144,7 @@ func TestParamWarmStartsInMemoizedTier(t *testing.T) {
 // execution state is touched.
 func TestBindParamsErrors(t *testing.T) {
 	ctx := context.Background()
-	e := New(Options{Workers: 1, Mode: ModeBytecode})
+	e := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1})
 	node := func() plan.Node {
 		return paramFilterPlan(expr.ParamRef(0, expr.TDec(2)), expr.ParamRef(1, expr.TChar))
 	}

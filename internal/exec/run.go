@@ -102,7 +102,7 @@ func (qr *queryRun) cancelCause() error {
 // is created by the caller so its origin covers the admission wait.
 func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Memory, st *Stats, tr *Trace) (*queryRun, error) {
 	qr := &queryRun{eng: e, cq: cq, mem: mem, stats: st, trace: tr}
-	qr.fp = fingerprintOf(cq, e.opts.VM, e.opts.NoNative, e.opts.NoRegAlloc, e.opts.NoVector)
+	qr.fp = fingerprintOf(cq, e.opts.VM)
 	st.Fingerprint = qr.fp.Short()
 
 	var ent *cachedPlan
@@ -155,7 +155,7 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	// up-front; installing a kernel is a per-pipeline decision of the mode
 	// or the adaptive controller. Shapes the engine cannot execute with
 	// bit-identical semantics latch the handle's vector-failed flag.
-	if !e.opts.NoVector && e.opts.Mode != ModeIRInterp {
+	if e.opts.Mode != ModeIRInterp {
 		for i, pl := range cq.Pipelines {
 			var k *vector.Kernel
 			if ent != nil {
@@ -196,10 +196,10 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 		compiledAny := false
 		for i, h := range qr.handles {
 			lv, l := level, hl
-			if lv == jit.Native && (!asm.Supported() || e.opts.NoNative) {
-				// No backend on this platform (or tier disabled): the static
-				// native mode degrades per-pipeline to the optimized closure
-				// tier, silently — the query must still complete (§IV-E).
+			if lv == jit.Native && !asm.Supported() {
+				// No backend on this platform: the static native mode
+				// degrades per-pipeline to the optimized closure tier,
+				// silently — the query must still complete (§IV-E).
 				h.MarkNativeFailed()
 				qr.nativeFallbacks.Add(1)
 				lv, l = jit.Optimized, LevelOptimized
@@ -248,8 +248,8 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	}
 
 	// ModeVector statically pins every pipeline with a vector kernel to
-	// the vectorized engine; pipelines without one (unsupported shape, or
-	// NoVector) fall back to the optimized closure tier so the query still
+	// the vectorized engine; pipelines without one (unsupported shape)
+	// fall back to the optimized closure tier so the query still
 	// completes (§IV-E's degrade-don't-fail discipline, engine edition).
 	if e.opts.Mode == ModeVector {
 		tC := time.Now()
@@ -299,7 +299,7 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	// Runtime state per the code generator's layout.
 	qs := rt.NewQueryState(mem, e.opts.Workers, cq.StateBytes, cq.LocalBytes)
 	for _, jd := range cq.Joins {
-		qs.AddJoin(jd.TupleSize, jd.StateOff, jd.Filter)
+		qs.AddJoin(jd.TupleSize, jd.StateOff)
 	}
 	for _, ad := range cq.Aggs {
 		qs.AddAgg(ad.EntrySize, ad.Keys, ad.Aggs, ad.LocalOff, ad.Scalar)
@@ -337,7 +337,7 @@ func (qr *queryRun) compiledFor(ent *cachedPlan, i int, h *Handle, level jit.Lev
 			return c, false, nil
 		}
 	}
-	if c, err = jit.CompileOpts(h.Fn, level, h.Prog, qr.jitOpts()); err != nil {
+	if c, err = jit.Compile(h.Fn, level, h.Prog); err != nil {
 		return nil, false, err
 	}
 	if qr.eng.cache != nil {
@@ -347,16 +347,10 @@ func (qr *queryRun) compiledFor(ent *cachedPlan, i int, h *Handle, level jit.Lev
 }
 
 // nativeOK reports whether the native tier may be proposed for h: the
-// platform has a backend, the tier is not disabled, and no earlier native
-// compilation of this function has failed.
+// platform has a backend and no earlier native compilation of this
+// function has failed.
 func (qr *queryRun) nativeOK(h *Handle) bool {
-	return asm.Supported() && !qr.eng.opts.NoNative && !h.NativeFailed()
-}
-
-// jitOpts returns the backend options every compilation of this query
-// uses (the fingerprint carries them, so cached artifacts match).
-func (qr *queryRun) jitOpts() jit.Options {
-	return jit.Options{NoRegAlloc: qr.eng.opts.NoRegAlloc}
+	return asm.Supported() && !h.NativeFailed()
 }
 
 // modelCompileTime returns the simulated whole-module compile latency.
@@ -662,7 +656,7 @@ func (qr *queryRun) runPipeline(id int) {
 	total := qr.sourceTotal(pl)
 	if total > 0 && !qr.cancelled.Load() {
 		pr := newProgress(total, qr.eng.opts.Workers, qr.eng.opts)
-		if len(pl.Prune) > 0 && !qr.eng.opts.NoZoneMaps {
+		if len(pl.Prune) > 0 {
 			qr.applyZoneMaps(pl, pr, total)
 		}
 		// The engine's shared pool executes the morsels; this coordinator
@@ -672,19 +666,13 @@ func (qr *queryRun) runPipeline(id int) {
 		qr.eng.sched.RunTenant(newPipelineJob(qr, pl, h, pr), qr.tenant)
 	}
 	qr.checkFailed()
-	// Finalize the sink between pipelines. By default the breaker work
-	// (join chain linking, aggregation merge) is hash-range partitioned
-	// across the worker pool; Options.SerialFinalize retains the
-	// single-threaded barrier for comparison.
+	// Finalize the sink between pipelines: the breaker work (join chain
+	// linking, aggregation merge) is hash-range partitioned across the
+	// worker pool.
 	if pl.SinkJoin >= 0 {
 		ht := qr.qs.Joins[pl.SinkJoin]
 		t0 := time.Now()
-		parts := 1
-		if qr.eng.opts.SerialFinalize {
-			ht.Finalize(qr.qs.StateAddr)
-		} else {
-			parts = ht.FinalizeParallel(qr.qs.StateAddr, qr.breakerParts(), qr.pfor)
-		}
+		parts := ht.FinalizeParallel(qr.qs.StateAddr, qr.breakerParts(), qr.pfor)
 		qr.noteFinalize(pl, time.Since(t0), t0, parts, int64(ht.Count))
 		// The breaker is the natural observation point of adaptive join
 		// ordering: the build ran to completion, so its hash-table count
@@ -694,12 +682,7 @@ func (qr *queryRun) runPipeline(id int) {
 	if pl.SinkAgg >= 0 {
 		set := qr.qs.Aggs[pl.SinkAgg]
 		t0 := time.Now()
-		parts := 1
-		if qr.eng.opts.SerialFinalize {
-			set.Finalize()
-		} else {
-			parts = set.FinalizeParallel(qr.breakerParts(), qr.pfor)
-		}
+		parts := set.FinalizeParallel(qr.breakerParts(), qr.pfor)
 		d := qr.cq.Aggs[pl.SinkAgg]
 		qr.mem.Store64(qr.qs.StateAddr+rt.Addr(d.IndexStateOff), set.IndexAddr)
 		qr.noteFinalize(pl, time.Since(t0), t0, parts, int64(set.Groups))
@@ -1043,10 +1026,10 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 }
 
 // vectorOK reports whether the vectorized engine may be proposed for h:
-// the tier is enabled, the pipeline compiled to a kernel, and no earlier
-// demotion latched the engine off.
+// the pipeline compiled to a kernel and no earlier demotion latched the
+// engine off.
 func (qr *queryRun) vectorOK(h *Handle) bool {
-	return !qr.eng.opts.NoVector && !h.VecFailed() && h.VecKernel() != nil
+	return !h.VecFailed() && h.VecKernel() != nil
 }
 
 // vecDemoteWarmup is the number of post-install controller evaluations
@@ -1152,7 +1135,7 @@ func (qr *queryRun) demoteTask(pl *codegen.Pipeline, h *Handle, pr *progress) {
 		return
 	}
 	t0 := time.Now()
-	c, err := jit.CompileOpts(h.Fn, jit.Optimized, h.Prog, qr.jitOpts())
+	c, err := jit.Compile(h.Fn, jit.Optimized, h.Prog)
 	if err != nil {
 		h.AbortCompile()
 		qr.fail(fmt.Errorf("exec: demotion compile of %s: %w", h.Fn.Name, err))
@@ -1208,7 +1191,7 @@ func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress, l
 	case LevelNative:
 		level = jit.Native
 	}
-	c, err := jit.CompileOpts(h.Fn, level, h.Prog, qr.jitOpts())
+	c, err := jit.Compile(h.Fn, level, h.Prog)
 	if err != nil && l == LevelNative {
 		// Native assembly failed (unsupported op, exec-memory exhaustion):
 		// degrade this function to the optimized closure tier and latch the
@@ -1217,7 +1200,7 @@ func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress, l
 		h.MarkNativeFailed()
 		qr.nativeFallbacks.Add(1)
 		l, level = LevelOptimized, jit.Optimized
-		c, err = jit.CompileOpts(h.Fn, level, h.Prog, qr.jitOpts())
+		c, err = jit.Compile(h.Fn, level, h.Prog)
 	}
 	if err != nil {
 		h.AbortCompile()

@@ -38,7 +38,7 @@ func stressPlan() plan.Node {
 // pool, and the cache are free of data races; correctness is checked
 // against a bytecode-only reference.
 func TestModeSwitchStress(t *testing.T) {
-	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
+	ref, err := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1}).RunPlan(stressPlan(), "ref")
 	if err != nil {
 		t.Fatal(err)
 	}

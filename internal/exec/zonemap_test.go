@@ -24,44 +24,58 @@ var zoneCat = sync.OnceValue(func() *storage.Catalog {
 })
 
 // TestZoneMapDifferential22 runs all 22 TPC-H queries under all five
-// execution modes with zone-map pruning on and off and asserts the result
-// checksums never move — pruning must be invisible in every tier. It also
-// asserts that pruning actually fired somewhere, so the equality isn't
-// vacuous.
+// execution modes with zone-map pruning and asserts the result checksums
+// match the Volcano interpreter, which never prunes — pruning must be
+// invisible in every tier. It also asserts that pruning actually fired
+// somewhere, so the equality isn't vacuous.
 func TestZoneMapDifferential22(t *testing.T) {
 	cat := zoneCat()
-	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp}
 	want := make(map[int]string)
+	for qn := 1; qn <= 22; qn++ {
+		want[qn] = volcanoChecksum(t, tpch.Query(cat, qn))
+	}
+	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp}
 	var pruned int64
 	for _, mode := range modes {
-		for _, off := range []bool{true, false} {
-			e := New(Options{Workers: 4, Mode: mode, Cost: Native(),
-				MorselSize: 256, NoZoneMaps: off})
-			for qn := 1; qn <= 22; qn++ {
-				res, err := e.Run(tpch.Query(cat, qn))
-				if err != nil {
-					t.Fatalf("%v(off=%v) Q%d: %v", mode, off, qn, err)
-				}
-				sum := checksum(res)
-				if mode == ModeBytecode && off {
-					want[qn] = sum
-				} else if sum != want[qn] {
-					t.Errorf("%v(off=%v) Q%d: checksum %s, want %s",
-						mode, off, qn, sum, want[qn])
-				}
-				if off && res.Stats.TuplesPruned != 0 {
-					t.Errorf("%v Q%d: NoZoneMaps run pruned %d tuples",
-						mode, qn, res.Stats.TuplesPruned)
-				}
-				if !off {
-					pruned += res.Stats.TuplesPruned
-				}
+		e := New(Options{Workers: 4, Mode: mode, Cost: Native(), CacheBytes: -1,
+			MorselSize: 256})
+		for qn := 1; qn <= 22; qn++ {
+			res, err := e.Run(tpch.Query(cat, qn))
+			if err != nil {
+				t.Fatalf("%v Q%d: %v", mode, qn, err)
 			}
+			if sum := checksum(res); sum != want[qn] {
+				t.Errorf("%v Q%d: checksum %s, want %s (volcano)", mode, qn, sum, want[qn])
+			}
+			pruned += res.Stats.TuplesPruned
 		}
 	}
 	if pruned == 0 {
 		t.Error("no tuples pruned across 22 queries — differential is vacuous")
 	}
+}
+
+// volcanoChecksum runs a multi-stage query on the Volcano interpreter,
+// materializing stage results the way the engine does, and returns the
+// checksum of the final stage.
+func volcanoChecksum(t *testing.T, q plan.Query) string {
+	t.Helper()
+	prior := make(map[string]*storage.Table)
+	var res *Result
+	for _, st := range q.Stages {
+		node := st.Build(prior)
+		rows, err := volcano.Run(node)
+		if err != nil {
+			t.Fatalf("%s stage %s: volcano: %v", q.Name, st.Name, err)
+		}
+		res = &Result{Rows: rows}
+		for _, c := range node.Schema() {
+			res.Cols = append(res.Cols, c.Name)
+			res.Types = append(res.Types, c.T)
+		}
+		prior[st.Name] = res.ToTable(st.Name)
+	}
+	return checksum(res)
 }
 
 // mkClustered builds a table whose fixed-width columns correlate with the
@@ -86,17 +100,16 @@ func mkClustered(rows int, rng *rand.Rand) *storage.Table {
 }
 
 // TestZoneMapPropertyRandomPredicates throws random sargable conjunctions
-// at a clustered table and checks three-way agreement per trial: volcano,
-// engine with pruning, engine without. Thresholds are drawn to land
-// inside, outside, and exactly on block boundaries.
+// at a clustered table and checks the pruning engine against volcano, which
+// never prunes, per trial. Thresholds are drawn to land inside, outside,
+// and exactly on block boundaries.
 func TestZoneMapPropertyRandomPredicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(20180416))
 	const rows, blockRows = 2000, 64
 	tbl := mkClustered(rows, rng)
 	tbl.BuildZoneMaps(blockRows)
 
-	on := New(Options{Workers: 3, Mode: ModeOptimized, Cost: Native(), MorselSize: 32})
-	off := New(Options{Workers: 3, Mode: ModeBytecode, MorselSize: 32, NoZoneMaps: true})
+	e := New(Options{Workers: 3, Mode: ModeOptimized, Cost: Native(), CacheBytes: -1, MorselSize: 32})
 
 	mkConj := func(sch []plan.ColDef) expr.Expr {
 		// A threshold near a block-boundary row index, sometimes far
@@ -139,8 +152,8 @@ func TestZoneMapPropertyRandomPredicates(t *testing.T) {
 
 	var prunedTotal int64
 	for trial := 0; trial < 60; trial++ {
-		// Draw the predicate once per trial; every build (volcano + both
-		// engines) must see the same condition.
+		// Draw the predicate once per trial; both builds (volcano and the
+		// engine) must see the same condition.
 		conj := make([]expr.Expr, 1+rng.Intn(3))
 		for i := range conj {
 			conj[i] = mkConj(plan.NewScan(tbl, "a", "c", "dt", "f", "ch", "s").Schema())
@@ -165,25 +178,21 @@ func TestZoneMapPropertyRandomPredicates(t *testing.T) {
 			t.Fatalf("trial %d: volcano: %v", trial, err)
 		}
 		wantC := canon(want, typesOf(ref.Schema()))
-		for name, e := range map[string]*Engine{"on": on, "off": off} {
-			res, err := e.RunPlan(build(), "prop")
-			if err != nil {
-				t.Fatalf("trial %d [%s]: %v", trial, name, err)
-			}
-			gotC := canon(res.Rows, res.Types)
-			if len(gotC) != len(wantC) {
-				t.Fatalf("trial %d [%s]: %d rows, want %d", trial, name, len(gotC), len(wantC))
-			}
-			for i := range gotC {
-				if gotC[i] != wantC[i] {
-					t.Fatalf("trial %d [%s]: row %d\n got %s\nwant %s",
-						trial, name, i, gotC[i], wantC[i])
-				}
-			}
-			if name == "on" {
-				prunedTotal += res.Stats.TuplesPruned
+		res, err := e.RunPlan(build(), "prop")
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		gotC := canon(res.Rows, res.Types)
+		if len(gotC) != len(wantC) {
+			t.Fatalf("trial %d: %d rows, want %d", trial, len(gotC), len(wantC))
+		}
+		for i := range gotC {
+			if gotC[i] != wantC[i] {
+				t.Fatalf("trial %d: row %d\n got %s\nwant %s",
+					trial, i, gotC[i], wantC[i])
 			}
 		}
+		prunedTotal += res.Stats.TuplesPruned
 	}
 	if prunedTotal == 0 {
 		t.Error("60 random trials never pruned — property test is vacuous")
@@ -214,7 +223,7 @@ func runCount(t *testing.T, e *Engine, node plan.Node) (int64, Stats) {
 }
 
 func TestZoneMapEdgeCases(t *testing.T) {
-	e := New(Options{Workers: 2, Mode: ModeBytecode, MorselSize: 16})
+	e := New(Options{Workers: 2, Mode: ModeBytecode, MorselSize: 16, CacheBytes: -1})
 	mk := func(rows int) *storage.Table {
 		a := storage.NewColumn("a", storage.Int64)
 		s := storage.NewColumn("s", storage.String)

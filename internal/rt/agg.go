@@ -241,8 +241,8 @@ func (s *AggSet) keysEqual(a, b Addr) bool {
 }
 
 // Finalize merges workers 1..n into worker 0's table and builds the dense
-// group index the follow-up pipeline scans. It runs single-threaded
-// between pipelines.
+// group index the follow-up pipeline scans, single-threaded: the serial
+// reference FinalizeParallel is tested against.
 func (s *AggSet) Finalize() {
 	target := s.hts[0]
 	for _, ht := range s.hts[1:] {

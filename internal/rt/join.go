@@ -136,8 +136,8 @@ func (h *JoinHT) publishState(stateAddr Addr) {
 	}
 }
 
-// Finalize is the retained serial path: size, link all chains in one
-// arena pass, publish.
+// Finalize is the serial reference FinalizeParallel is tested against:
+// size, link all chains in one arena pass, publish.
 func (h *JoinHT) Finalize(stateAddr Addr) {
 	if nb := h.prepare(); nb > 0 {
 		h.linkRange(0, uint64(nb))

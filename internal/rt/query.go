@@ -46,9 +46,10 @@ func NewQueryState(mem *Memory, workers, stateBytes, localBytes int) *QueryState
 	return q
 }
 
-// AddJoin registers a join hash table and returns its id.
-func (q *QueryState) AddJoin(tupleSize, stateOff int, filter bool) int {
-	q.Joins = append(q.Joins, NewJoinHT(q.Mem, q.Workers, tupleSize, stateOff, filter))
+// AddJoin registers a join hash table, with the Bloom filter generated
+// probe code checks, and returns its id.
+func (q *QueryState) AddJoin(tupleSize, stateOff int) int {
+	q.Joins = append(q.Joins, NewJoinHT(q.Mem, q.Workers, tupleSize, stateOff, true))
 	return len(q.Joins) - 1
 }
 

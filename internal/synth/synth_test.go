@@ -15,7 +15,7 @@ func TestWideAggPlanGrowsLinearly(t *testing.T) {
 		if got := len(node.Schema()); got != n+1 {
 			t.Fatalf("schema has %d cols, want %d", got, n+1)
 		}
-		e := exec.New(exec.Options{Workers: 1, Mode: exec.ModeBytecode})
+		e := exec.New(exec.Options{Workers: 1, Mode: exec.ModeBytecode, CacheBytes: -1})
 		res, err := e.RunPlan(node, "wide")
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +34,7 @@ func TestWideAggMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := exec.New(exec.Options{Workers: 2, Mode: exec.ModeOptimized, Cost: exec.Native()})
+	e := exec.New(exec.Options{Workers: 2, Mode: exec.ModeOptimized, Cost: exec.Native(), CacheBytes: -1})
 	res, err := e.RunPlan(WideAggPlan(tbl, 17), "wide")
 	if err != nil {
 		t.Fatal(err)

@@ -128,12 +128,12 @@ var queriesExpectedNonEmpty = map[int]bool{
 
 func TestAll22QueriesAgainstOracle(t *testing.T) {
 	engines := map[string]*exec.Engine{
-		"bytecode-w1": exec.New(exec.Options{Workers: 1, Mode: exec.ModeBytecode}),
-		"bytecode-w3": exec.New(exec.Options{Workers: 3, Mode: exec.ModeBytecode}),
+		"bytecode-w1": exec.New(exec.Options{Workers: 1, Mode: exec.ModeBytecode, CacheBytes: -1}),
+		"bytecode-w3": exec.New(exec.Options{Workers: 3, Mode: exec.ModeBytecode, CacheBytes: -1}),
 		"opt-w2": exec.New(exec.Options{Workers: 2, Mode: exec.ModeOptimized,
-			Cost: exec.Native()}),
+			Cost: exec.Native(), CacheBytes: -1}),
 		"adaptive-w2": exec.New(exec.Options{Workers: 2, Mode: exec.ModeAdaptive,
-			Cost: exec.Native(), MorselSize: 512}),
+			Cost: exec.Native(), MorselSize: 512, CacheBytes: -1}),
 	}
 	for qn := 1; qn <= 22; qn++ {
 		q := Query(testCat, qn)
@@ -171,7 +171,7 @@ func TestAll22QueriesAgainstOracle(t *testing.T) {
 func TestQ1Positional(t *testing.T) {
 	// Q1's sort keys (returnflag, linestatus) are unique per group, so the
 	// full result must agree positionally with the oracle.
-	e := exec.New(exec.Options{Workers: 2, Mode: exec.ModeBytecode})
+	e := exec.New(exec.Options{Workers: 2, Mode: exec.ModeBytecode, CacheBytes: -1})
 	q := Query(testCat, 1)
 	want, schema := runStagesVolcano(t, q)
 	res, err := e.Run(Query(testCat, 1))

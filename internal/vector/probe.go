@@ -49,10 +49,7 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 	st := rc.state + uint64(p.StateOff)
 	buckets := rc.ld64(st)
 	mask := rc.ld64(st + 8)
-	var fBase uint64
-	if p.Filter {
-		fBase = rc.ld64(st + 16)
-	}
+	fBase := rc.ld64(st + 16)
 
 	// firstOnly: semi/anti probes need only match existence; compiled code
 	// stops at the first hash/key match too (no residual by Compile check).
@@ -63,19 +60,14 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 	}
 	pb := &rc.pairBufs[pi.idx]
 	pk, pe := pb.k[:0], pb.e[:0]
-	var hits, skips int64
 
 	for _, k := range sel {
 		h := hv[k]
 		slot := h & mask
-		if p.Filter {
-			fw := rc.ld16(fBase + slot*2)
-			tag := uint64(1) << ((h >> 48) & 15)
-			if fw&tag == 0 {
-				skips++
-				continue
-			}
-			hits++
+		fw := rc.ld16(fBase + slot*2)
+		tag := uint64(1) << ((h >> 48) & 15)
+		if fw&tag == 0 {
+			continue
 		}
 		e := rc.ld64(buckets + slot*8)
 		for e != 0 {
@@ -99,12 +91,6 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 		}
 	}
 	pb.k, pb.e = pk, pe
-
-	if p.StatsLocalOff >= 0 {
-		addr := rc.local + uint64(p.StatsLocalOff)
-		rc.st64(addr, rc.ld64(addr)+uint64(hits))
-		rc.st64(addr+8, rc.ld64(addr+8)+uint64(skips))
-	}
 
 	switch j.Kind {
 	case plan.Semi:

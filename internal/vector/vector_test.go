@@ -66,18 +66,12 @@ func TestVectorDifferential22(t *testing.T) {
 		name string
 		opts exec.Options
 	}{
-		{"baseline-optimized", exec.Options{Workers: 4, Mode: exec.ModeOptimized, Cost: exec.Native()}},
+		{"baseline-optimized", exec.Options{Workers: 4, Mode: exec.ModeOptimized, Cost: exec.Native(), CacheBytes: -1}},
 		{"forced-vector", exec.Options{Workers: 4, Mode: exec.ModeVector, Cost: exec.Native(),
 			MorselSize: 512, CacheBytes: 64 << 20}},
-		{"forced-vector-w1", exec.Options{Workers: 1, Mode: exec.ModeVector, Cost: exec.Native()}},
+		{"forced-vector-w1", exec.Options{Workers: 1, Mode: exec.ModeVector, Cost: exec.Native(), CacheBytes: -1}},
 		{"hybrid-auto", exec.Options{Workers: 4, Mode: exec.ModeAdaptive, Cost: exec.Native(),
 			MorselSize: 512, CacheBytes: 64 << 20}},
-		{"hybrid-no-vector", exec.Options{Workers: 4, Mode: exec.ModeAdaptive, Cost: exec.Native(),
-			NoVector: true, MorselSize: 512, CacheBytes: 64 << 20}},
-		{"vector-serial-no-filter", exec.Options{Workers: 4, Mode: exec.ModeVector, Cost: exec.Native(),
-			SerialFinalize: true, NoJoinFilter: true}},
-		{"vector-no-dict", exec.Options{Workers: 4, Mode: exec.ModeVector, Cost: exec.Native(),
-			NoDict: true}},
 	}
 	want := make(map[int][]string)
 	var vectorMorsels int64
@@ -184,7 +178,7 @@ func TestVectorPropertyRandomPredicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tb := mkRandTable(4000, rng)
 	e := exec.New(exec.Options{Workers: 3, Mode: exec.ModeVector, Cost: exec.Native(),
-		MorselSize: 256})
+		MorselSize: 256, CacheBytes: -1})
 	for trial := 0; trial < 40; trial++ {
 		build := func() plan.Node {
 			sc := plan.NewScan(tb, "a", "b", "d", "f", "dt", "ch", "s")
@@ -238,7 +232,7 @@ func TestVectorTrapParity(t *testing.T) {
 			[]plan.AggExpr{{Func: plan.Sum, Arg: plan.C(sc.Schema(), "v"), Name: "s"}})
 	}
 	for _, mode := range []exec.Mode{exec.ModeOptimized, exec.ModeVector} {
-		e := exec.New(exec.Options{Workers: 1, Mode: mode, Cost: exec.Native()})
+		e := exec.New(exec.Options{Workers: 1, Mode: mode, Cost: exec.Native(), CacheBytes: -1})
 		if _, err := e.RunPlan(build(), "ovf"); err == nil {
 			t.Errorf("%v: overflowing sum did not trap", mode)
 		}
@@ -267,7 +261,7 @@ func TestVectorDivZeroParity(t *testing.T) {
 				Arg: expr.Div(plan.C(sch, "a"), plan.C(sch, "b")), Name: "q"}})
 	}
 	for _, mode := range []exec.Mode{exec.ModeOptimized, exec.ModeVector} {
-		e := exec.New(exec.Options{Workers: 1, Mode: mode, Cost: exec.Native()})
+		e := exec.New(exec.Options{Workers: 1, Mode: mode, Cost: exec.Native(), CacheBytes: -1})
 		if _, err := e.RunPlan(build(false), "dz-unfiltered"); err == nil {
 			t.Errorf("%v: unfiltered division by zero did not trap", mode)
 		}
@@ -306,7 +300,7 @@ func TestVectorJoinShapes(t *testing.T) {
 		{"outer-count", plan.OuterCount, false},
 	}
 	e := exec.New(exec.Options{Workers: 4, Mode: exec.ModeVector, Cost: exec.Native(),
-		MorselSize: 512})
+		MorselSize: 512, CacheBytes: -1})
 	for _, tc := range cases {
 		build := func() plan.Node {
 			d := plan.NewScan(dim, "b", "d")
