@@ -11,10 +11,11 @@ import (
 
 // planCache is the engine-level compilation cache: it maps plan
 // fingerprints to the translated bytecode of every pipeline (plus
-// queryStart) and to the compiled closure of each JIT tier, so a repeated
-// query skips translation entirely and starts executing in the best tier
-// reached by any earlier execution instead of re-climbing
-// bytecode → unoptimized → optimized.
+// queryStart), to the compiled closure of each JIT tier and to the
+// vectorized kernel, together with the morsel rates earlier executions
+// measured on each engine. A repeated query skips translation entirely
+// and starts each pipeline on the engine measured fastest instead of
+// re-climbing bytecode → unoptimized → optimized.
 //
 // Entries are evicted in LRU order once the byte budget is exceeded. The
 // budget tracks an estimate of the retained footprint (bytecode
@@ -38,6 +39,9 @@ type cachedPlan struct {
 	queryStart *vm.Program
 	pipes      []cachedPipe
 	bytes      int64
+	// hits counts lookups that found the entry; a snapshot carries the
+	// ordinal of its own hit, which paces warmStart's re-measurement.
+	hits int64
 }
 
 // cachedPipe holds the artifacts of one pipeline: the bytecode program,
@@ -50,12 +54,71 @@ type cachedPipe struct {
 	prog     *vm.Program
 	compiled [3]*jit.Compiled
 	vec      *vector.Kernel
-	// vecBest records whether the most recent completed execution finished
-	// this pipeline in the vectorized engine; a warm adaptive run then
-	// starts there directly instead of re-discovering the engine choice
-	// from morsel rates (the engine analogue of starting in the best
-	// compiled tier reached earlier).
-	vecBest bool
+
+	// rate is the measured throughput of each Level on this pipeline:
+	// tuples per second of morsel busy time, smoothed over the adaptive
+	// executions that drained it (0 = never measured). A warm adaptive run
+	// starts the pipeline on the fastest measured engine (warmStart).
+	rate [numLevels]float64
+	// pick is the level the last steady warm start chose (-1 = none yet);
+	// warmStart keeps it until another engine measures clearly faster.
+	pick Level
+	// filling marks the one background native compile a warm hit launches
+	// for a pipeline without cached native code; nativeFailed latches a
+	// failed native compilation so neither the fill nor the controller
+	// retries it.
+	filling      bool
+	nativeFailed bool
+}
+
+// remeasureEvery is the cadence, in hits of a cache entry, at which a warm
+// start runs each pipeline on its runner-up engine instead of its fastest,
+// so one noisy sample cannot lock the choice in.
+const remeasureEvery = 16
+
+// keepMargin is how much faster than the incumbent another engine must
+// measure before warm starts move to it: the smoothed rates of two close
+// engines otherwise cross back and forth on noise alone.
+const keepMargin = 1.2
+
+// warmStart picks the level a warm adaptive execution starts pipeline p
+// in. The candidates are the engines with a ready artifact: cached native
+// code (when the platform has a backend and native is not latched
+// failed), the vector kernel (vecOK), cached optimized or unoptimized
+// code, and bytecode. An unmeasured candidate is tried first; otherwise
+// the fastest measured one wins, the incumbent p.pick staying until
+// another measures keepMargin faster, and every remeasureEvery-th hit
+// runs the runner-up instead. steady reports a pick of the fastest (or
+// incumbent) engine rather than a trial or a re-measurement.
+func warmStart(p *cachedPipe, nativeSupported, vecOK bool, hit int64) (l Level, steady bool) {
+	var avail [numLevels]bool
+	avail[LevelBytecode] = true
+	avail[LevelUnoptimized] = p.compiled[jit.Unoptimized] != nil
+	avail[LevelOptimized] = p.compiled[jit.Optimized] != nil
+	avail[LevelNative] = nativeSupported && !p.nativeFailed && p.compiled[jit.Native] != nil
+	avail[LevelVector] = vecOK
+	best, second := Level(-1), Level(-1)
+	for l := LevelVector; l >= LevelBytecode; l-- {
+		if !avail[l] {
+			continue
+		}
+		if p.rate[l] == 0 {
+			return l, false
+		}
+		switch {
+		case best < 0 || p.rate[l] > p.rate[best]:
+			best, second = l, best
+		case second < 0 || p.rate[l] > p.rate[second]:
+			second = l
+		}
+	}
+	if inc := p.pick; inc >= 0 && inc != best && avail[inc] && p.rate[best] < p.rate[inc]*keepMargin {
+		best, second = inc, best
+	}
+	if second >= 0 && hit%remeasureEvery == 0 {
+		return second, false
+	}
+	return best, true
 }
 
 // CacheStats is a snapshot of the compilation-cache counters.
@@ -90,7 +153,8 @@ func (c *planCache) lookup(fp Fingerprint) *cachedPlan {
 	c.hits++
 	c.lru.MoveToFront(el)
 	ent := el.Value.(*cachedPlan)
-	snap := &cachedPlan{fp: ent.fp, queryStart: ent.queryStart, bytes: ent.bytes}
+	ent.hits++
+	snap := &cachedPlan{fp: ent.fp, queryStart: ent.queryStart, bytes: ent.bytes, hits: ent.hits}
 	snap.pipes = append([]cachedPipe(nil), ent.pipes...)
 	return snap
 }
@@ -101,7 +165,7 @@ func (c *planCache) insert(fp Fingerprint, queryStart *vm.Program, progs []*vm.P
 	ent := &cachedPlan{fp: fp, queryStart: queryStart}
 	ent.bytes = int64(queryStart.SizeBytes())
 	for _, p := range progs {
-		ent.pipes = append(ent.pipes, cachedPipe{prog: p})
+		ent.pipes = append(ent.pipes, cachedPipe{prog: p, pick: -1})
 		ent.bytes += int64(p.SizeBytes())
 	}
 	c.mu.Lock()
@@ -120,15 +184,32 @@ func (c *planCache) insert(fp Fingerprint, queryStart *vm.Program, progs []*vm.P
 func (c *planCache) addCompiled(fp Fingerprint, pipe int, level jit.Level, comp *jit.Compiled) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if ent, p := c.pipe(fp, pipe); p != nil {
+		c.attach(ent, p, level, comp)
+	}
+}
+
+// pipe returns the live entry and its pipeline, or a nil pipeline once
+// the entry is gone. Called with the mutex held.
+func (c *planCache) pipe(fp Fingerprint, pipe int) (*cachedPlan, *cachedPipe) {
 	el, ok := c.idx[fp]
 	if !ok {
-		return
+		return nil, nil
 	}
 	ent := el.Value.(*cachedPlan)
-	if pipe >= len(ent.pipes) || ent.pipes[pipe].compiled[level] != nil {
+	if pipe >= len(ent.pipes) {
+		return nil, nil
+	}
+	return ent, &ent.pipes[pipe]
+}
+
+// attach publishes comp into p's tier slot unless it is already filled,
+// charging ent's footprint. Called with the mutex held.
+func (c *planCache) attach(ent *cachedPlan, p *cachedPipe, level jit.Level, comp *jit.Compiled) {
+	if p.compiled[level] != nil {
 		return
 	}
-	ent.pipes[pipe].compiled[level] = comp
+	p.compiled[level] = comp
 	n := int64(comp.SizeBytes())
 	ent.bytes += n
 	c.bytes += n
@@ -145,34 +226,84 @@ const vecKernelBytes = 2048
 func (c *planCache) addVector(fp Fingerprint, pipe int, k *vector.Kernel) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.idx[fp]
-	if !ok {
+	ent, p := c.pipe(fp, pipe)
+	if p == nil || p.vec != nil {
 		return
 	}
-	ent := el.Value.(*cachedPlan)
-	if pipe >= len(ent.pipes) || ent.pipes[pipe].vec != nil {
-		return
-	}
-	ent.pipes[pipe].vec = k
+	p.vec = k
 	ent.bytes += vecKernelBytes
 	c.bytes += vecKernelBytes
 	c.evict()
 }
 
-// noteEngine records the engine the most recent execution finished
-// pipeline `pipe` in (true = vectorized). Last writer wins: the memo
-// tracks the current preference, not history.
-func (c *planCache) noteEngine(fp Fingerprint, pipe int, vec bool) {
+// rateWeight is the weight of a new sample in a pipeline's smoothed
+// per-level rate once the sample covers rateFullTuples tuples; smaller
+// samples weigh proportionally less, so one noisy execution — or a run of
+// a pipeline over a handful of tuples, whose rate is all overhead — moves
+// an established rate little.
+const (
+	rateWeight     = 0.25
+	rateFullTuples = 4096
+)
+
+// noteRates folds one drained execution of pipeline pipe into its memo:
+// per level, the tuples its morsels processed and their busy time (levels
+// the run did not execute carry zeros and keep their rate). A steady warm
+// start (pick >= 0) becomes the incumbent warmStart compares against.
+func (c *planCache) noteRates(fp Fingerprint, pipe int, tuples, nanos *[numLevels]int64, pick Level) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.idx[fp]
-	if !ok {
+	_, p := c.pipe(fp, pipe)
+	if p == nil {
 		return
 	}
-	ent := el.Value.(*cachedPlan)
-	if pipe < len(ent.pipes) {
-		ent.pipes[pipe].vecBest = vec
+	for l := range p.rate {
+		if tuples[l] <= 0 || nanos[l] <= 0 {
+			continue
+		}
+		r := float64(tuples[l]) / float64(nanos[l]) * 1e9
+		if p.rate[l] == 0 {
+			p.rate[l] = r
+			continue
+		}
+		w := rateWeight * min(1, float64(tuples[l])/rateFullTuples)
+		p.rate[l] += w * (r - p.rate[l])
 	}
+	if pick >= 0 {
+		p.pick = pick
+	}
+}
+
+// beginFill claims the background native compile of pipeline pipe. It
+// fails when native code is already cached, a fill is running, or native
+// compilation of the pipeline has failed before.
+func (c *planCache) beginFill(fp Fingerprint, pipe int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, p := c.pipe(fp, pipe)
+	if p == nil || p.filling || p.nativeFailed || p.compiled[jit.Native] != nil {
+		return false
+	}
+	p.filling = true
+	return true
+}
+
+// finishNative records the outcome of a native compilation of pipeline
+// pipe and releases its fill claim: the machine code is published, or a
+// nil comp latches the failure.
+func (c *planCache) finishNative(fp Fingerprint, pipe int, comp *jit.Compiled) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ent, p := c.pipe(fp, pipe)
+	if p == nil {
+		return
+	}
+	p.filling = false
+	if comp == nil {
+		p.nativeFailed = true
+		return
+	}
+	c.attach(ent, p, jit.Native, comp)
 }
 
 // evict drops LRU entries until the budget is respected. Called with the

@@ -191,3 +191,65 @@ func TestEngineCacheEvictionUnderPressure(t *testing.T) {
 		t.Fatalf("budget violated: %+v", st)
 	}
 }
+
+// TestWarmStartPick table-tests the warm-start choice as a pure function
+// of the measured rates, the ready artifacts and the hit counter.
+func TestWarmStartPick(t *testing.T) {
+	type rates = [numLevels]float64
+	const B, U, O, N, V = LevelBytecode, LevelUnoptimized, LevelOptimized, LevelNative, LevelVector
+	cases := []struct {
+		name      string
+		rate      rates
+		opt       bool // optimized closure cached
+		native    bool // native code cached
+		failed    bool // native latched failed
+		supported bool // platform has a native backend
+		vec       bool // vector kernel ready
+		pick      Level
+		hit       int64
+		want      Level
+		steady    bool
+	}{
+		{name: "unmeasured vector tried first", rate: rates{B: 1e6, N: 5e6},
+			native: true, supported: true, vec: true, pick: -1, hit: 1, want: V},
+		{name: "unmeasured native tried first", rate: rates{B: 1e6, V: 3e6},
+			native: true, supported: true, vec: true, pick: -1, hit: 1, want: N},
+		{name: "unmeasured bytecode tried", rate: rates{N: 5e6},
+			native: true, supported: true, pick: -1, hit: 1, want: B},
+		{name: "fastest measured wins", rate: rates{B: 1e6, O: 2e6, N: 5e6, V: 3e6},
+			opt: true, native: true, supported: true, vec: true, pick: -1, hit: 1, want: N, steady: true},
+		{name: "vector fastest", rate: rates{B: 1e6, N: 2e6, V: 3e6},
+			native: true, supported: true, vec: true, pick: -1, hit: 2, want: V, steady: true},
+		{name: "runner-up re-measured on cadence", rate: rates{B: 1e6, N: 5e6, V: 3e6},
+			native: true, supported: true, vec: true, pick: N, hit: remeasureEvery, want: V},
+		{name: "no re-measure off cadence", rate: rates{B: 1e6, N: 5e6, V: 3e6},
+			native: true, supported: true, vec: true, pick: N, hit: remeasureEvery + 1, want: N, steady: true},
+		{name: "incumbent kept within margin", rate: rates{B: 1e6, N: 3.3e6, V: 3e6},
+			native: true, supported: true, vec: true, pick: V, hit: 3, want: V, steady: true},
+		{name: "incumbent replaced past margin", rate: rates{B: 1e6, N: 4e6, V: 3e6},
+			native: true, supported: true, vec: true, pick: V, hit: 3, want: N, steady: true},
+		{name: "kept incumbent re-measures the fastest", rate: rates{B: 1e6, N: 3.3e6, V: 3e6},
+			native: true, supported: true, vec: true, pick: V, hit: 2 * remeasureEvery, want: N},
+		{name: "native unsupported", rate: rates{B: 1e6, N: 9e6, V: 3e6},
+			native: true, vec: true, pick: N, hit: 3, want: V, steady: true},
+		{name: "native latched failed", rate: rates{B: 1e6, N: 9e6, V: 3e6},
+			native: true, failed: true, supported: true, vec: true, pick: N, hit: 3, want: V, steady: true},
+		{name: "unmeasured native unsupported not tried", rate: rates{B: 1e6, O: 2e6},
+			opt: true, native: true, pick: -1, hit: 3, want: O, steady: true},
+		{name: "bytecode alone", rate: rates{B: 1e6},
+			pick: -1, hit: remeasureEvery, want: B, steady: true},
+	}
+	for _, tc := range cases {
+		p := &cachedPipe{rate: tc.rate, pick: tc.pick, nativeFailed: tc.failed}
+		if tc.opt {
+			p.compiled[jit.Optimized] = &jit.Compiled{}
+		}
+		if tc.native {
+			p.compiled[jit.Native] = &jit.Compiled{}
+		}
+		got, steady := warmStart(p, tc.supported, tc.vec, tc.hit)
+		if got != tc.want || steady != tc.steady {
+			t.Errorf("%s: got %v (steady %v), want %v (steady %v)", tc.name, got, steady, tc.want, tc.steady)
+		}
+	}
+}

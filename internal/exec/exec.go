@@ -233,7 +233,7 @@ type Stats struct {
 	Instrs       int // IR instructions in the module
 	Pipelines    int
 	FinalLevels  []Level // per pipeline, the tier that finished it
-	Compilations int     // adaptive compilations launched
+	Compilations int     // adaptive compilations launched, warm native fills included
 	RegFileBytes int     // largest bytecode register file
 	FusedOps     int     // macro-ops fused across pipelines (§IV-F)
 	Finalizes    int     // pipeline breakers finalized
@@ -564,14 +564,8 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		rows = rows[:cq.Limit]
 	}
 	st.Total = time.Since(t0)
-	for i, h := range qr.handles {
-		lvl := h.Level()
-		st.FinalLevels = append(st.FinalLevels, lvl)
-		// Remember the finishing engine so the next warm adaptive run of
-		// this plan starts each pipeline there directly.
-		if e.cache != nil && e.opts.Mode == ModeAdaptive {
-			e.cache.noteEngine(qr.fp, i, lvl == LevelVector)
-		}
+	for _, h := range qr.handles {
+		st.FinalLevels = append(st.FinalLevels, h.Level())
 	}
 	if e.cache != nil {
 		st.Cache = e.cache.stats()

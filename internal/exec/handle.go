@@ -29,6 +29,13 @@ const (
 	LevelVector
 )
 
+// numLevels sizes per-level arrays such as the plan cache's rate memo.
+const numLevels = int(LevelVector) + 1
+
+// jitLevel maps a closure-family tier to its jit compilation level (and
+// cachedPipe.compiled slot).
+func jitLevel(l Level) jit.Level { return jit.Level(l - LevelUnoptimized) }
+
 func (l Level) String() string {
 	switch l {
 	case LevelBytecode:

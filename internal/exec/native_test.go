@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aqe/internal/asm"
+	"aqe/internal/jit"
 )
 
 // TestNativeStaticMode runs the stress plan in ModeNative and checks the
@@ -186,4 +187,84 @@ func TestNativeDemotion(t *testing.T) {
 		t.Skip("controller never promoted to native on this machine; nothing to verify")
 	}
 	t.Errorf("native installed %d times but the controller never demoted", promoted)
+}
+
+// TestWarmNativeFill: a warm hit gives each pipeline without cached native
+// code one background native compile. With assembly forced to fail, 20
+// warm runs launch at most one fill per pipeline (none without a native
+// backend), latch the failure in the cache entry, never run a native
+// morsel, and return the bytecode rows every time.
+func TestWarmNativeFill(t *testing.T) {
+	ref, err := New(Options{Workers: 1, Mode: ModeBytecode, CacheBytes: -1}).RunPlan(stressPlan(), "ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(canon(ref.Rows, ref.Types))
+
+	asm.SetAllocFailure(true)
+	defer asm.SetAllocFailure(false)
+	// Compilation priced out of reach: the controller never compiles, so
+	// every compilation a warm run launches is a native fill.
+	cost := Native()
+	cost.UnoptBase, cost.OptBase, cost.NativeBase = time.Hour, time.Hour, time.Hour
+	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, CacheBytes: 8 << 20})
+	fills := 0
+	pipes := 0
+	for i := 0; i <= 20; i++ {
+		res, err := e.RunPlan(stressPlan(), "fill")
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if got := fmt.Sprint(canon(res.Rows, res.Types)); got != want {
+			t.Fatalf("run %d: result diverged from bytecode", i)
+		}
+		if res.Stats.NativeMorsels != 0 {
+			t.Fatalf("run %d: %d morsels ran natively despite alloc failure", i, res.Stats.NativeMorsels)
+		}
+		if i == 0 {
+			if res.Stats.Compilations != 0 {
+				t.Fatalf("cold run launched %d compilations, want none", res.Stats.Compilations)
+			}
+			pipes = res.Stats.Pipelines
+			continue
+		}
+		if !res.Stats.CacheHit {
+			t.Fatalf("run %d missed the cache", i)
+		}
+		fills += res.Stats.Compilations
+	}
+	e.pool.wait()
+	if !asm.Supported() {
+		if fills != 0 {
+			t.Errorf("%d fills submitted without a native backend, want 0", fills)
+		}
+		return
+	}
+	if fills == 0 || fills > pipes {
+		t.Errorf("%d fills over %d pipelines, want at most one per pipeline (and some)", fills, pipes)
+	}
+	for i, p := range e.cache.peek().pipes {
+		if !p.nativeFailed || p.filling || p.compiled[jit.Native] != nil {
+			t.Errorf("pipeline %d: failed %v filling %v code %v, want the failure latched",
+				i, p.nativeFailed, p.filling, p.compiled[jit.Native] != nil)
+		}
+	}
+
+	// With assembly working, the fill publishes machine code the next warm
+	// run tries (an unmeasured candidate goes first).
+	asm.SetAllocFailure(false)
+	e = New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, CacheBytes: 8 << 20})
+	for i := 0; i < 3; i++ {
+		res, err := e.RunPlan(stressPlan(), "fill")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(canon(res.Rows, res.Types)); got != want {
+			t.Fatalf("run %d: result diverged from bytecode", i)
+		}
+		e.pool.wait()
+		if i == 2 && res.Stats.NativeMorsels == 0 {
+			t.Errorf("filled native code never ran: %+v", res.Stats)
+		}
+	}
 }

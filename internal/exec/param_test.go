@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
+	"aqe/internal/asm"
 	"aqe/internal/expr"
 	"aqe/internal/plan"
 )
@@ -90,10 +92,10 @@ func TestParamBindingsShareOnePlan(t *testing.T) {
 }
 
 // TestParamWarmStartsInMemoizedTier pins the acceptance behavior: once
-// the adaptive engine has settled on a tier for the parameterized plan,
-// a fresh binding starts there directly — cache hit, no translation, no
-// compilation launched, and the final tier at least as high as the
-// memoized one.
+// the adaptive engine has settled on an engine per pipeline for the
+// parameterized plan — every candidate measured, no compilation launched
+// — a fresh binding starts there directly: cache hit, no translation, no
+// compilation, and the same final engine per pipeline as the settled run.
 func TestParamWarmStartsInMemoizedTier(t *testing.T) {
 	ctx := context.Background()
 	e := New(Options{Workers: 3, Mode: ModeAdaptive, Cost: Native(),
@@ -108,19 +110,35 @@ func TestParamWarmStartsInMemoizedTier(t *testing.T) {
 		}
 		return res
 	}
-	// Warm until the controller stops launching compilations.
-	var warm *Result
-	for i := 0; i < 10; i++ {
-		warm = run(int64(1000*i), "OFP"[i%3])
-		if i > 0 && warm.Stats.Compilations == 0 {
-			break
+	// nextSteady reports whether the next warm run starts every pipeline
+	// on its measured-fastest engine: every candidate measured, no native
+	// fill pending, and not a re-measurement hit.
+	nextSteady := func() bool {
+		e.pool.wait()
+		ent := e.cache.peek()
+		if ent == nil {
+			return false
+		}
+		for i := range ent.pipes {
+			p := &ent.pipes[i]
+			if _, steady := warmStart(p, asm.Supported(), p.vec != nil, ent.hits+1); !steady || p.filling {
+				return false
+			}
+		}
+		return true
+	}
+	var settled *Result
+	for i := 0; i < 64 && settled == nil; i++ {
+		steady := nextSteady()
+		res := run(int64(1000*i), "OFP"[i%3])
+		if steady && res.Stats.Compilations == 0 && nextSteady() {
+			settled = res
 		}
 	}
-	if warm.Stats.Compilations != 0 {
-		t.Fatalf("plan never settled: %d compilations still launched", warm.Stats.Compilations)
+	if settled == nil {
+		t.Fatal("plan never settled: candidates left unmeasured or compilations still launched")
 	}
-	memo := warm.Stats.FinalLevels
-	// A fresh, never-seen binding must start in the memoized state.
+	// A fresh, never-seen binding must start in the settled state.
 	fresh := run(77777, 'F')
 	if !fresh.Stats.CacheHit {
 		t.Fatal("fresh binding missed the cache")
@@ -130,12 +148,37 @@ func TestParamWarmStartsInMemoizedTier(t *testing.T) {
 			fresh.Stats.Translate, fresh.Stats.Compile)
 	}
 	if fresh.Stats.Compilations != 0 {
-		t.Fatalf("fresh binding launched %d compilations, want 0 (memoized tier)", fresh.Stats.Compilations)
+		t.Fatalf("fresh binding launched %d compilations, want 0 (settled plan)", fresh.Stats.Compilations)
 	}
-	for i, lvl := range fresh.Stats.FinalLevels {
-		if lvl < memo[i] {
-			t.Fatalf("pipeline %d regressed from memoized tier %v to %v", i, memo[i], lvl)
+	if !reflect.DeepEqual(fresh.Stats.FinalLevels, settled.Stats.FinalLevels) {
+		t.Fatalf("fresh binding finished in %v, settled run in %v",
+			fresh.Stats.FinalLevels, settled.Stats.FinalLevels)
+	}
+}
+
+// peek returns the single entry of a one-plan cache without counting a
+// hit (nil when empty).
+func (c *planCache) peek() *cachedPlan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el := c.lru.Front(); el != nil {
+		ent := *el.Value.(*cachedPlan)
+		ent.pipes = append([]cachedPipe(nil), ent.pipes...)
+		return &ent
+	}
+	return nil
+}
+
+// wait blocks until the pool has no queued or running compilation.
+func (p *compilePool) wait() {
+	for {
+		p.mu.Lock()
+		idle := p.workers == 0
+		p.mu.Unlock()
+		if idle {
+			return
 		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

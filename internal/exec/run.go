@@ -38,6 +38,14 @@ type queryRun struct {
 
 	trace *Trace
 
+	// ent is the plan-cache snapshot an adaptive warm run started from
+	// (nil otherwise): its per-level rates keep the controller from
+	// switching against a measurement, and its artifacts are installed
+	// without recompiling. picks holds each pipeline's steady warm start
+	// (-1 for a trial or re-measurement), reported back with the rates.
+	ent   *cachedPlan
+	picks []Level
+
 	// reopt is the replan budget shared across restart attempts, nil
 	// when the query runs without a Replanner (replan.go).
 	reopt *reoptState
@@ -273,26 +281,40 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 		}
 	}
 
-	// An adaptive query that hits the cache starts every pipeline in the
-	// best tier any earlier execution reached — no re-climbing through
-	// bytecode (the controller can still upgrade unoptimized pipelines).
-	// Cached native code starts the pipeline in tier 6 immediately: the
-	// assembled bytes are keyed by the plan fingerprint, so a warm run
-	// pays no assemble latency at all.
+	// An adaptive query that hits the cache starts every pipeline on the
+	// engine earlier executions measured fastest (warmStart) — no
+	// re-climbing through bytecode. Cached native code starts the pipeline
+	// in tier 6 immediately: the assembled bytes are keyed by the plan
+	// fingerprint, so a warm run pays no assemble latency at all.
 	if e.opts.Mode == ModeAdaptive && ent != nil {
+		qr.ent = ent
+		qr.picks = make([]Level, len(qr.handles))
 		for i, h := range qr.handles {
-			if ent.pipes[i].vecBest && h.VecKernel() != nil && !h.VecFailed() {
-				// The previous execution finished this pipeline in the
-				// vectorized engine: start there. The controller still
-				// monitors morsel rates and can demote mid-query.
-				h.InstallVector()
-			} else if c := ent.pipes[i].compiled[jit.Native]; c != nil && qr.nativeOK(h) {
-				h.Install(c, LevelNative)
-			} else if c := ent.pipes[i].compiled[jit.Optimized]; c != nil {
-				h.Install(c, LevelOptimized)
-			} else if c := ent.pipes[i].compiled[jit.Unoptimized]; c != nil {
-				h.Install(c, LevelUnoptimized)
+			p := &ent.pipes[i]
+			if p.nativeFailed {
+				h.MarkNativeFailed()
 			}
+			l, steady := warmStart(p, asm.Supported(), qr.vectorOK(h), ent.hits)
+			qr.picks[i] = -1
+			if steady {
+				qr.picks[i] = l
+			}
+			switch l {
+			case LevelBytecode:
+			case LevelVector:
+				// Keep the best compiled variant under the kernel, so a
+				// demotion out of the vectorized engine has a tier to land in.
+				for cl := LevelNative; cl >= LevelUnoptimized; cl-- {
+					if c := p.compiled[jitLevel(cl)]; c != nil && (cl != LevelNative || qr.nativeOK(h)) {
+						h.Install(c, cl)
+						break
+					}
+				}
+				h.InstallVector()
+			default:
+				h.Install(p.compiled[jitLevel(l)], l)
+			}
+			qr.fillNative(i, h, p)
 		}
 	}
 
@@ -344,6 +366,30 @@ func (qr *queryRun) compiledFor(ent *cachedPlan, i int, h *Handle, level jit.Lev
 		qr.eng.cache.addCompiled(qr.fp, i, level, c)
 	}
 	return c, true, nil
+}
+
+// fillNative gives a warm pipeline without cached machine code one
+// background native compile on the shared compile pool. The code is
+// published to the cache for later executions, not installed into this
+// one; a failure is latched in the cache entry so it is never retried.
+func (qr *queryRun) fillNative(i int, h *Handle, p *cachedPipe) {
+	if !qr.nativeOK(h) || p.compiled[jit.Native] != nil || !qr.eng.cache.beginFill(qr.fp, i) {
+		return
+	}
+	qr.stats.Compilations++
+	e, fp := qr.eng, qr.fp
+	e.pool.submit(func() {
+		if m := e.opts.Cost; m.Simulate {
+			time.Sleep(m.NativeTime(h.Instrs))
+		}
+		c, err := jit.Compile(h.Fn, jit.Native, h.Prog)
+		if err != nil {
+			c = nil
+		} else {
+			qr.nativeCompiles.Add(1)
+		}
+		e.cache.finishNative(fp, i, c)
+	})
 }
 
 // nativeOK reports whether the native tier may be proposed for h: the
@@ -493,6 +539,11 @@ type progress struct {
 
 	rates    []atomic.Uint64 // per worker slot: float64 bits, tuples/sec
 	evalGate atomic.Bool
+
+	// Per-level morsel totals (tuples, busy nanoseconds): the measurement
+	// an adaptive run reports to the plan cache when the pipeline drains.
+	busyTuples [numLevels]atomic.Int64
+	busyNanos  [numLevels]atomic.Int64
 
 	// Demotion bookkeeping: the measured rate (float64 bits) and tier just
 	// before native code was installed, and how many controller
@@ -654,8 +705,9 @@ func (qr *queryRun) runPipeline(id int) {
 			Worker: -1, Start: now, End: now, Tuples: int64(pl.DictRewrites)})
 	}
 	total := qr.sourceTotal(pl)
+	var pr *progress
 	if total > 0 && !qr.cancelled.Load() {
-		pr := newProgress(total, qr.eng.opts.Workers, qr.eng.opts)
+		pr = newProgress(total, qr.eng.opts.Workers, qr.eng.opts)
 		if len(pl.Prune) > 0 {
 			qr.applyZoneMaps(pl, pr, total)
 		}
@@ -666,6 +718,9 @@ func (qr *queryRun) runPipeline(id int) {
 		qr.eng.sched.RunTenant(newPipelineJob(qr, pl, h, pr), qr.tenant)
 	}
 	qr.checkFailed()
+	if pr != nil {
+		qr.noteRates(pl.ID, pr)
+	}
 	// Finalize the sink between pipelines: the breaker work (join chain
 	// linking, aggregation merge) is hash-range partitioned across the
 	// worker pool.
@@ -690,6 +745,24 @@ func (qr *queryRun) runPipeline(id int) {
 	// A cancel that landed during finalize left the breaker half-built;
 	// unwind before any later pipeline can read it.
 	qr.checkFailed()
+}
+
+// noteRates reports a drained pipeline's per-level morsel rates to the
+// plan cache (adaptive runs only): the measurement the next warm start
+// of the plan picks its engine from.
+func (qr *queryRun) noteRates(id int, pr *progress) {
+	if qr.eng.cache == nil || qr.eng.opts.Mode != ModeAdaptive {
+		return
+	}
+	var tuples, nanos [numLevels]int64
+	for l := range tuples {
+		tuples[l], nanos[l] = pr.busyTuples[l].Load(), pr.busyNanos[l].Load()
+	}
+	pick := Level(-1)
+	if qr.picks != nil {
+		pick = qr.picks[id]
+	}
+	qr.eng.cache.noteRates(qr.fp, id, &tuples, &nanos, pick)
 }
 
 // checkFailed unwinds the interpreted queryStart if the query failed or
@@ -879,6 +952,8 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 		return false
 	}
 	j.pr.report(slot, end-begin, d)
+	j.pr.busyTuples[lvl].Add(end - begin)
+	j.pr.busyNanos[lvl].Add(int64(d))
 	if lvl == LevelNative {
 		qr.nativeMorsels.Add(1)
 	}
@@ -929,8 +1004,19 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 		// stays open: the vectorized candidate below may still beat native
 		// on hash-dense pipelines.
 	}
-	canVec := qr.vectorOK(h)
-	if h.Level() >= ceiling && !canVec {
+	cur := h.Level()
+	// A level the plan cache measured on this pipeline is a candidate only
+	// if it measured clearly faster than the current one (the margin
+	// warmStart demands of a challenger): measurement overrules the model.
+	slower := func(l Level) bool {
+		if qr.ent == nil {
+			return false
+		}
+		r := &qr.ent.pipes[pl.ID].rate
+		return r[cur] > 0 && r[l] > 0 && r[l] < r[cur]*keepMargin
+	}
+	canVec := qr.vectorOK(h) && !slower(LevelVector)
+	if cur >= ceiling && !canVec {
 		return
 	}
 	if time.Since(pr.started) < time.Millisecond {
@@ -953,7 +1039,6 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if w < 1 {
 		w = 1
 	}
-	cur := h.Level()
 	curSpeed := m.Speedup(cur)
 
 	// t0: stay in the current mode.
@@ -962,8 +1047,11 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	bestT := t0
 
 	consider := func(l Level, compile time.Duration) {
-		if l <= cur {
+		if l <= cur || slower(l) {
 			return
+		}
+		if qr.cachedTier(pl.ID, l) != nil {
+			compile = 0
 		}
 		c := compile.Seconds()
 		r := r0 / curSpeed * m.Speedup(l)
@@ -1021,8 +1109,24 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 		}
 		return
 	}
+	if c := qr.cachedTier(pl.ID, best); c != nil {
+		// A warm run that started below a cached tier (a trial or a
+		// re-measurement) climbs to it without compiling.
+		h.Install(c, best)
+		pr.resetRates()
+		return
+	}
 	qr.stats.Compilations++
 	qr.eng.pool.submit(func() { qr.compileTask(pl, h, pr, best) })
+}
+
+// cachedTier returns the cached compiled variant of pipeline id at
+// closure-family tier l from the run's warm-start snapshot, or nil.
+func (qr *queryRun) cachedTier(id int, l Level) *jit.Compiled {
+	if qr.ent == nil {
+		return nil
+	}
+	return qr.ent.pipes[id].compiled[jitLevel(l)]
 }
 
 // vectorOK reports whether the vectorized engine may be proposed for h:
@@ -1184,20 +1288,18 @@ func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress, l
 			return
 		}
 	}
-	level := jit.Unoptimized
-	switch l {
-	case LevelOptimized:
-		level = jit.Optimized
-	case LevelNative:
-		level = jit.Native
-	}
+	level := jitLevel(l)
 	c, err := jit.Compile(h.Fn, level, h.Prog)
 	if err != nil && l == LevelNative {
 		// Native assembly failed (unsupported op, exec-memory exhaustion):
 		// degrade this function to the optimized closure tier and latch the
-		// failure so the controller stops proposing tier 6 for it. The
+		// failure — on the handle and in the plan cache — so neither this
+		// run's controller nor a later warm run proposes tier 6 for it. The
 		// query keeps running either way (§IV-E).
 		h.MarkNativeFailed()
+		if qr.eng.cache != nil {
+			qr.eng.cache.finishNative(qr.fp, pl.ID, nil)
+		}
 		qr.nativeFallbacks.Add(1)
 		l, level = LevelOptimized, jit.Optimized
 		c, err = jit.Compile(h.Fn, level, h.Prog)

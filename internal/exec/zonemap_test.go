@@ -1,22 +1,26 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"aqe/internal/expr"
 	"aqe/internal/plan"
+	"aqe/internal/sql"
 	"aqe/internal/storage"
 	"aqe/internal/tpch"
 	"aqe/internal/volcano"
 )
 
 // zoneCat is a TPC-H catalog with fine-grained zone maps (512-row blocks:
-// at SF 0.003 the default 64k blocks would cover whole tables, and the
-// differential test wants pruning to actually fire).
+// at SF 0.003 the default 4k blocks leave most tables a block or a few,
+// and the differential test wants pruning to fire in every scan shape).
 var zoneCat = sync.OnceValue(func() *storage.Catalog {
 	cat := tpch.Gen(0.003)
 	cat.BuildZoneMaps(512)
@@ -52,6 +56,74 @@ func TestZoneMapDifferential22(t *testing.T) {
 	}
 	if pruned == 0 {
 		t.Error("no tuples pruned across 22 queries — differential is vacuous")
+	}
+}
+
+// TestDefaultBlockPrunesPrepared pins fine-grained pruning at the default
+// block size on TPC-H SF 0.01, the point-serving statements' shapes: a
+// prepared o_orderkey = $1 lookup keeps only the block holding its key,
+// and a one-week l_shipdate range skips more than half of lineitem. Every
+// execution's rows must equal Volcano's over the literal statement.
+func TestDefaultBlockPrunesPrepared(t *testing.T) {
+	cat := tpch.Gen(0.01)
+	e := New(Options{Workers: 2, CacheBytes: 8 << 20})
+	run := func(body string, args []string) *Result {
+		t.Helper()
+		vals := make([]*expr.Const, len(args))
+		lit := body
+		for i := len(args) - 1; i >= 0; i-- {
+			v, err := sql.ParseLiteral(args[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals[i] = v
+			lit = strings.ReplaceAll(lit, fmt.Sprintf("$%d", i+1), args[i])
+		}
+		node, _, bound, err := sql.PlanBind(body, cat, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RunPlanOpts(context.Background(), node, "prepared", RunOpts{Params: bound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := sql.Plan(lit, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := volcano.Run(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, w := canon(res.Rows, res.Types), canon(want, res.Types); !reflect.DeepEqual(got, w) {
+			t.Fatalf("%s: rows differ from volcano\n got %v\nwant %v", lit, got, w)
+		}
+		return res
+	}
+	const lookup = "SELECT o_custkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = $1"
+	orders := int64(cat.Table("orders").Rows())
+	for _, key := range []string{"1", "4097", "7777", "15000"} {
+		res := run(lookup, []string{key})
+		if len(res.Rows) != 1 {
+			t.Fatalf("o_orderkey = %s: %d rows, want 1", key, len(res.Rows))
+		}
+		st := res.Stats
+		if st.TuplesPruned < orders-4096 {
+			t.Errorf("o_orderkey = %s pruned %d of %d orders rows, want all but one 4096-row block",
+				key, st.TuplesPruned, orders)
+		}
+	}
+	const week = "SELECT l_returnflag, l_linestatus, count(*) AS n, sum(l_extendedprice) AS s " +
+		"FROM lineitem WHERE l_shipdate >= $1 AND l_shipdate < $2 GROUP BY l_returnflag, l_linestatus"
+	lineitem := int64(cat.Table("lineitem").Rows())
+	for _, from := range []string{"1992-03-02", "1995-06-14", "1998-07-20"} {
+		lo := storage.MustParseDate(from)
+		args := []string{"DATE '" + from + "'", "DATE '" + storage.FormatDate(lo+7) + "'"}
+		st := run(week, args).Stats
+		if 2*st.TuplesPruned <= lineitem {
+			t.Errorf("week from %s pruned %d of %d lineitem rows, want more than half",
+				from, st.TuplesPruned, lineitem)
+		}
 	}
 }
 

@@ -4,9 +4,11 @@ import "math"
 
 // DefaultZoneBlockRows is the default zone-map block size: per-block
 // min/max statistics are kept for every DefaultZoneBlockRows consecutive
-// rows. 64k rows matches the engine's largest morsel, so a fully-pruned
-// block removes at least one dispatched kernel invocation.
-const DefaultZoneBlockRows = 65536
+// rows. 4k rows is two initial morsels: a point lookup or a narrow range
+// scans a few thousand tuples instead of a whole 64k morsel, while mask
+// building stays linear in the (still small) block count and the
+// dispatcher clips morsels at pruned block boundaries.
+const DefaultZoneBlockRows = 4096
 
 // ZoneMap holds small materialized aggregates — per-block min/max — over a
 // fixed-width column (Int64, Decimal, Date, Float64, Char) or over the
